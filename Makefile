@@ -3,8 +3,11 @@
 #   make check   — everything CI needs: formatting, vet, the hummer
 #                  contract linter, build, tests, the race detector on
 #                  the parallel and serving packages, the chaos
-#                  fault-storm, the coverage floor, and the
-#                  perf-acceptance benchmarks in short mode.
+#                  fault-storm, the coverage floor, the
+#                  perf-acceptance benchmarks in short mode, and
+#                  bench-check.
+#   make bench-check — the benchmark harness's vet + tests and its
+#                  correctness gate (bash benchmark/run.sh -check).
 #   make lint    — the repo's own static-analysis suite
 #                  (cmd/hummer-lint): panic containment on every
 #                  goroutine, determinism bans in result-producing
@@ -40,9 +43,9 @@ RACE_PKGS = . ./internal/parshard ./internal/dupdetect ./internal/dumas \
 COVER_PKGS = ./internal/dumas ./internal/dupdetect ./internal/assign ./internal/strsim
 COVER_FLOOR = 70
 
-.PHONY: check fmtcheck fmt vet lint build test race race-stream chaos cover bench bench-short bench-join serve loadtest obs-bench profile
+.PHONY: check fmtcheck fmt vet lint build test race race-stream chaos cover bench bench-short bench-join bench-check serve loadtest obs-bench profile
 
-check: fmtcheck vet lint build test race race-stream chaos cover bench-short obs-bench loadtest
+check: fmtcheck vet lint build test race race-stream chaos cover bench-short obs-bench loadtest bench-check
 
 fmtcheck:
 	@unformatted=$$(gofmt -l .); \
@@ -124,6 +127,15 @@ bench-short:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
+
+# The benchmark (BENCHMARK.json + benchmark/, a nested module that
+# `build`, `test` and `lint` never see) must still compile against the
+# program's frozen symbols, pass its harness tests, and reproduce every
+# correctness digest — a few seconds, so a break fails here instead of
+# in the benchmark driver.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh -check
 
 # Parallel-join perf gate: fails if the batched parallel probe
 # regresses more than 10% (plus a small scheduler-noise slack) against

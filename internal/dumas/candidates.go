@@ -1,27 +1,24 @@
 package dumas
 
 import (
+	"context"
 	"sort"
 	"strings"
 
+	"hummer/internal/parshard"
 	"hummer/internal/strsim"
 )
 
-// Cross-relation candidate-pair generation for the duplicate-discovery
-// step. Every strategy is a pairGen: a deterministic stream of
-// (leftRow, rightRow) pairs in the strategy's canonical order. The
-// scorer consumes the stream either inline (sequential) or chunked
-// across the parshard worker pool; the canonical order is what makes
-// the two paths produce byte-identical results.
+// Cross-relation candidate selection and scoring for the
+// duplicate-discovery step. Three strategies exist:
 //
-// Three strategies exist:
-//
-//   - token index (the default): an inverted token index over the
-//     right tuples; each left tuple is paired with every right tuple
-//     sharing at least one token. Pairs sharing no token have TFIDF
-//     cosine 0 and can never reach MinTupleSim > 0, so this is
-//     exhaustive in recall while skipping the hopeless pairs — the
-//     "efficient" part of DUMAS.
+//   - term at a time (the default, scorePostings): each left tuple
+//     walks its sorted terms through posting lists term → (right row,
+//     weight) inverted from the right term vectors, accumulating its
+//     similarity to every right tuple sharing a token. Pairs sharing no
+//     token have TFIDF cosine 0 and can never reach MinTupleSim > 0,
+//     so recall is exhaustive, and the sparse token↔tuple graph is
+//     visited once per edge.
 //   - sorted neighborhood (Config.Window): left and right tuples are
 //     merged into one list ordered by their whole-tuple sort key
 //     (lowercased tupleText); only cross-relation entries within the
@@ -31,6 +28,11 @@ import (
 //     key. Tuples sharing any key are candidates, so a typo inside the
 //     prefix still leaves the other grams agreeing — recall survives
 //     dirty prefixes that defeat plain prefix blocking.
+//
+// The key-based strategies score a different candidate set, so they
+// stay pair generators: a pairGen streams (leftRow, rightRow) pairs in
+// canonical order, and the scorer runs strsim.DotTermVecs on each
+// across the parshard worker pool.
 
 // pairGen enumerates candidate (left, right) pairs in canonical order.
 // It stops early when yield returns false.
@@ -47,23 +49,77 @@ const qgramPrefixRunes = 10
 // exists to avoid.
 const maxQGramBlock = 1000
 
-// tokenIndexPairs streams, for each left row in ascending order, the
-// ascending right rows sharing at least one token with it.
-func tokenIndexPairs(leftTokens, rightTokens [][]string) pairGen {
-	index := map[string][]int{}
-	for ri, toks := range rightTokens {
-		for _, t := range dedupSorted(toks) {
-			index[t] = append(index[t], ri)
+// posting is one entry of the right-hand inverted index: a right row
+// holding the term, and the term's weight in that row's term vector.
+type posting struct {
+	row int
+	w   float64
+}
+
+// scorePostings is the default strategy: term-at-a-time scoring of
+// every left row against the inverted index of the right term vectors,
+// left rows sharded across workers. Each shard owns an accumulator
+// slot per right row, reset on first touch, so nothing is shared.
+// A left row walks its terms in sorted order, hence acc[r] receives
+// exactly the products DotTermVecs(left, right[r]) sums, in the same
+// order; with the same > 1 clamp every Sim is bit-identical to the
+// merge walk. ctx is polled every CancelStride left rows.
+func scorePostings(ctx context.Context, workers int, leftVecs, rightVecs []strsim.TermVec, minSim float64) (scoreShard, error) {
+	index := map[string][]posting{}
+	for r, v := range rightVecs {
+		for k, t := range v.Terms {
+			index[t] = append(index[t], posting{row: r, w: v.Ws[k]})
 		}
 	}
-	return probeIndexPairs(leftTokens, len(rightTokens), index, 0, func(toks []string) []string {
-		return dedupSorted(toks)
+	shards := make([]scoreShard, workers)
+	err := parshard.RangesContext(ctx, workers, len(leftVecs), func(s, lo, hi int) {
+		out := &shards[s]
+		acc := make([]float64, len(rightVecs))
+		stamp := make([]int, len(rightVecs)) // stamp[r] == l+1: r touched by left row l
+		var touched []int
+		for l := lo; l < hi; l++ {
+			if l%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
+				return
+			}
+			touched = touched[:0]
+			lv := leftVecs[l]
+			for k, t := range lv.Terms {
+				for _, p := range index[t] {
+					if stamp[p.row] != l+1 {
+						stamp[p.row] = l + 1
+						acc[p.row] = 0
+						touched = append(touched, p.row)
+					}
+					acc[p.row] += lv.Ws[k] * p.w
+				}
+			}
+			out.stats.CandidatePairs += len(touched)
+			for _, r := range touched {
+				sim := acc[r]
+				if sim > 1 { // DotTermVecs's rounding guard
+					sim = 1
+				}
+				if sim >= minSim {
+					out.stats.Scored++
+					out.pairs = append(out.pairs, TuplePair{LeftRow: l, RightRow: r, Sim: sim})
+				}
+			}
+		}
 	})
+	if err != nil {
+		return scoreShard{}, err
+	}
+	var out scoreShard
+	for _, sh := range shards {
+		out.merge(sh)
+	}
+	return out, nil
 }
 
 // qgramPairs streams, for each left row in ascending order, the
 // ascending right rows sharing at least one q-gram of the sort-key
-// prefix. Oversized posting lists are skipped on both sides.
+// prefix. Posting lists longer than maxQGramBlock are skipped; a stamp
+// array makes the per-row dedup allocation-free.
 func qgramPairs(leftKeys, rightKeys []string, q int) pairGen {
 	grams := func(key string) []string {
 		return dedupSorted(strsim.QGrams(runePrefix(key, qgramPrefixRunes), q))
@@ -78,33 +134,19 @@ func qgramPairs(leftKeys, rightKeys []string, q int) pairGen {
 	for li, key := range leftKeys {
 		keyed[li] = grams(key)
 	}
-	return probeIndexPairs(keyed, len(rightKeys), index, maxQGramBlock, func(ks []string) []string {
-		return ks
-	})
-}
-
-// probeIndexPairs is the shared inverted-index probe: for each left
-// row ascending, collect the distinct right rows from the posting
-// lists of its keys (lists longer than maxPosting are skipped when
-// maxPosting > 0), sort them ascending and yield. A stamp array makes
-// the per-row dedup allocation-free.
-func probeIndexPairs(leftKeyed [][]string, nRight int, index map[string][]int, maxPosting int, keysOf func([]string) []string) pairGen {
 	return func(yield func(li, ri int) bool) {
-		stamp := make([]int, nRight)
-		for i := range stamp {
-			stamp[i] = -1
-		}
+		stamp := make([]int, len(rightKeys)) // stamp[ri] == li+1: ri already collected
 		var cands []int
-		for li, raw := range leftKeyed {
+		for li, gs := range keyed {
 			cands = cands[:0]
-			for _, k := range keysOf(raw) {
-				list := index[k]
-				if maxPosting > 0 && len(list) > maxPosting {
+			for _, g := range gs {
+				list := index[g]
+				if len(list) > maxQGramBlock {
 					continue
 				}
 				for _, ri := range list {
-					if stamp[ri] != li {
-						stamp[ri] = li
+					if stamp[ri] != li+1 {
+						stamp[ri] = li + 1
 						cands = append(cands, ri)
 					}
 				}
@@ -200,16 +242,12 @@ func runePrefix(s string, p int) string {
 // lowercased whole-tuple text.
 func sortKey(text string) string { return strings.ToLower(text) }
 
-// candidateGen selects the strategy for cfg. Config validation has
-// already rejected conflicting settings; keys are only materialized
-// when a key-based strategy needs them.
-func candidateGen(cfg Config, leftTokens, rightTokens [][]string, leftKeys, rightKeys func() []string) pairGen {
-	switch {
-	case cfg.Window > 0:
-		return windowPairs(leftKeys(), rightKeys(), cfg.Window)
-	case cfg.QGrams > 0:
-		return qgramPairs(leftKeys(), rightKeys(), cfg.QGrams)
-	default:
-		return tokenIndexPairs(leftTokens, rightTokens)
+// candidateGen selects the key-based strategy for cfg: Window or
+// QGrams (validation has rejected both at once; with neither set the
+// default strategy, scorePostings, runs instead).
+func candidateGen(cfg Config, leftKeys, rightKeys []string) pairGen {
+	if cfg.Window > 0 {
+		return windowPairs(leftKeys, rightKeys, cfg.Window)
 	}
+	return qgramPairs(leftKeys, rightKeys, cfg.QGrams)
 }

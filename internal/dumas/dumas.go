@@ -14,18 +14,21 @@
 // # Candidate generation
 //
 // Which cross-relation tuple pairs are scored during duplicate
-// discovery is decided by one of three strategies (see candidates.go):
-// the inverted token index (the default — exhaustive recall, since
-// pairs sharing no token score 0), sorted neighborhood over the
-// whole-tuple sort keys (Config.Window > 0), and q-gram prefix
-// blocking (Config.QGrams > 0).
+// discovery is decided by one of three strategies (see candidates.go).
+// The default scores term at a time: each left tuple walks its sorted
+// terms through an inverted index of the right tuples' term vectors,
+// accumulating one similarity per right tuple sharing a token
+// (exhaustive recall, since pairs sharing no token score 0). Sorted
+// neighborhood over the whole-tuple sort keys (Config.Window > 0) and
+// q-gram prefix blocking (Config.QGrams > 0) instead generate
+// candidate pairs and score each.
 //
 // # Parallelism and determinism
 //
 // Config.Parallelism sets the number of worker goroutines (0 means
 // GOMAXPROCS, 1 forces sequential). Three phases shard across the
 // parshard worker pool: the per-tuple precomputation (tokenizing,
-// corpus statistics, TFIDF term vectors), the candidate-pair scoring,
+// corpus statistics, TFIDF term vectors), the candidate scoring,
 // and the per-cell averaging of the field-similarity matrix. All
 // similarity math runs over sorted term vectors with deterministic
 // float accumulation, so the Result — correspondences, duplicates,
@@ -155,7 +158,7 @@ func Match(left, right *relation.Relation, cfg Config) (*Result, error) {
 
 // MatchContext derives attribute correspondences between two unaligned
 // relations, honoring ctx: the per-tuple precomputation polls it
-// between row shards, the pair scoring checks it at chunk boundaries
+// between row shards, the scoring between left rows (or pair chunks)
 // and the field-matrix averaging polls it between cells, so a
 // cancelled match returns promptly with ctx's error, all worker
 // goroutines joined and no partial result. A match that completes is
@@ -220,9 +223,10 @@ func tupleText(row relation.Row) string {
 }
 
 // FindDuplicates performs the duplicate-discovery step with the
-// default (token index) candidate strategy: rank cross-table tuple
-// pairs by whole-tuple TFIDF similarity and return the top maxDups
-// pairs above minSim.
+// default candidate strategy — term-at-a-time accumulation over an
+// inverted index, scoring every cross-table tuple pair that shares a
+// token — ranks the pairs by whole-tuple TFIDF similarity and returns
+// the top maxDups pairs above minSim.
 //
 // Each left and right tuple participates in at most one returned pair:
 // a real-world entity should contribute one aligned observation, and
@@ -235,27 +239,35 @@ func FindDuplicates(left, right *relation.Relation, maxDups int, minSim float64)
 }
 
 // precomputeMinRows is the smallest input the per-tuple precomputation
-// bothers to shard; below it goroutine startup dominates.
+// and the default strategy's row-sharded scoring bother to shard;
+// below it goroutine startup dominates.
 const precomputeMinRows = 128
 
 // pairChunk is the number of candidate pairs per scoring work unit.
 const pairChunk = parshard.DefaultChunk
 
-// scoreShard is one chunk's (or the whole sequential run's) scoring
-// output.
+// scoreShard is one shard's or chunk's scoring output.
 type scoreShard struct {
 	stats Stats
 	pairs []TuplePair
 }
 
+// merge folds a later shard's output into s.
+func (s *scoreShard) merge(o scoreShard) {
+	s.stats.CandidatePairs += o.stats.CandidatePairs
+	s.stats.Scored += o.stats.Scored
+	s.pairs = append(s.pairs, o.pairs...)
+}
+
 // findDuplicates is the full discovery step: sharded per-tuple
-// precomputation, candidate generation in canonical order, sharded
-// pair scoring, and the deterministic ranked 1:1 top-k selection.
+// precomputation, sharded candidate scoring (term at a time by
+// default, a key-based pair stream otherwise), and the deterministic
+// ranked 1:1 top-k selection.
 // cfg must have passed validation; MaxDuplicates and MinTupleSim are
 // honored exactly as given (the exported FindDuplicates deliberately
 // passes raw values to keep its historical parameter semantics, e.g.
 // minSim = 0 keeping every candidate). ctx is polled between row
-// shards and at scoring chunk boundaries; on cancellation the partial
+// shards and during scoring; on cancellation the partial
 // state is discarded and ctx's error returned.
 func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Config) ([]TuplePair, Stats, error) {
 	nl, nr := left.Len(), right.Len()
@@ -332,14 +344,21 @@ func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Con
 	}
 	csp.End()
 
-	// Sort keys are only materialized when a key-based candidate
-	// strategy asks for them, from the already-rendered tuple texts.
-	// The cancellation error is deliberately dropped: the scoring run
-	// below re-checks ctx on entry, so a cancel here still aborts
-	// promptly — the poll only keeps this pass from running to
-	// completion first.
-	keysOf := func(texts []string) func() []string {
-		return func() []string {
+	_, ssp := obs.StartSpan(ctx, "match.score")
+	defer ssp.End()
+	minSim := cfg.MinTupleSim
+	var out scoreShard
+	var scoreWorkers int
+	if cfg.Window == 0 && cfg.QGrams == 0 {
+		scoreWorkers = min(preWorkers, nl)
+		out, err = scorePostings(ctx, scoreWorkers, leftVecs, rightVecs, minSim)
+	} else {
+		// Sort keys from the already-rendered tuple texts. The
+		// cancellation error is deliberately dropped: the scoring run
+		// below re-checks ctx on entry, so a cancel here still aborts
+		// promptly — the poll only keeps this pass from running to
+		// completion first.
+		keysOf := func(texts []string) []string {
 			keys := make([]string, len(texts))
 			_ = parshard.RangesContext(ctx, preWorkers, len(texts), func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -351,41 +370,33 @@ func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Con
 			})
 			return keys
 		}
-	}
-	gen := candidateGen(cfg, leftTokens, rightTokens, keysOf(leftTexts), keysOf(rightTexts))
-
-	// Score the candidate stream across the worker pool. Tiny inputs
-	// fit in a single chunk; the pool would only add overhead.
-	scoreWorkers := workers
-	if nl*nr <= pairChunk {
-		scoreWorkers = 1
-	}
-	_, ssp := obs.StartSpan(ctx, "match.score")
-	defer ssp.End()
-	ssp.SetInt("workers", scoreWorkers)
-	minSim := cfg.MinTupleSim
-	out, err := parshard.RunContext(ctx, scoreWorkers, pairChunk,
-		parshard.Gen[[2]int](func(yield func([2]int) bool) {
-			gen(func(li, ri int) bool { return yield([2]int{li, ri}) })
-		}),
-		func() func([2]int, *scoreShard) {
-			return func(p [2]int, out *scoreShard) {
-				out.stats.CandidatePairs++
-				sim := strsim.DotTermVecs(leftVecs[p[0]], rightVecs[p[1]])
-				if sim >= minSim {
-					out.stats.Scored++
-					out.pairs = append(out.pairs, TuplePair{LeftRow: p[0], RightRow: p[1], Sim: sim})
+		gen := candidateGen(cfg, keysOf(leftTexts), keysOf(rightTexts))
+		// Score the candidate stream across the worker pool. Tiny inputs
+		// fit in a single chunk; the pool would only add overhead.
+		scoreWorkers = workers
+		if nl*nr <= pairChunk {
+			scoreWorkers = 1
+		}
+		out, err = parshard.RunContext(ctx, scoreWorkers, pairChunk,
+			parshard.Gen[[2]int](func(yield func([2]int) bool) {
+				gen(func(li, ri int) bool { return yield([2]int{li, ri}) })
+			}),
+			func() func([2]int, *scoreShard) {
+				return func(p [2]int, out *scoreShard) {
+					out.stats.CandidatePairs++
+					sim := strsim.DotTermVecs(leftVecs[p[0]], rightVecs[p[1]])
+					if sim >= minSim {
+						out.stats.Scored++
+						out.pairs = append(out.pairs, TuplePair{LeftRow: p[0], RightRow: p[1], Sim: sim})
+					}
 				}
-			}
-		},
-		func(into *scoreShard, chunk scoreShard) {
-			into.stats.CandidatePairs += chunk.stats.CandidatePairs
-			into.stats.Scored += chunk.stats.Scored
-			into.pairs = append(into.pairs, chunk.pairs...)
-		})
+			},
+			(*scoreShard).merge)
+	}
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	ssp.SetInt("workers", scoreWorkers)
 	ssp.SetInt("candidates", out.stats.CandidatePairs)
 	ssp.SetInt("scored", out.stats.Scored)
 	ssp.End()

@@ -98,11 +98,12 @@ func TestPropertyParallelDeterministic(t *testing.T) {
 }
 
 // TestParallelDeterministicLargeInput forces an input big enough to
-// engage every sharded phase — precomputation (≥ precomputeMinRows
-// rows), chunked pair scoring (> pairChunk candidates) — and checks
-// byte-identity across worker counts. A shared organization column
-// gives every cross pair a common token, so the token index proposes
-// all nl·nr candidates.
+// engage every sharded phase — precomputation and the default
+// strategy's row-sharded scoring (≥ precomputeMinRows rows), the
+// window strategy's chunked pair scoring (> pairChunk candidates) —
+// and checks byte-identity across worker counts. A shared organization
+// column gives every cross pair a common token, so the default
+// strategy scores all nl·nr candidates.
 func TestParallelDeterministicLargeInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	lb := relation.NewBuilder("l", "Name", "City", "Org")
@@ -125,19 +126,24 @@ func TestParallelDeterministicLargeInput(t *testing.T) {
 		t.Fatalf("workload too small to engage sharded precompute: %d+%d rows",
 			left.Len(), right.Len())
 	}
-	seq, err := Match(left, right, Config{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Stats.CandidatePairs <= pairChunk {
-		t.Fatalf("workload too small to span chunks: %d candidates", seq.Stats.CandidatePairs)
-	}
-	for _, p := range []int{2, 4, 8} {
-		par, err := Match(left, right, Config{Parallelism: p})
+	for _, base := range []Config{{}, {Window: 40}} {
+		base.Parallelism = 1
+		seq, err := Match(left, right, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, fmt.Sprintf("p=%d", p), seq, par)
+		if seq.Stats.CandidatePairs <= pairChunk {
+			t.Fatalf("%+v: workload too small to span chunks: %d candidates", base, seq.Stats.CandidatePairs)
+		}
+		for _, p := range []int{2, 4, 8} {
+			cfg := base
+			cfg.Parallelism = p
+			par, err := Match(left, right, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, fmt.Sprintf("%+v", cfg), seq, par)
+		}
 	}
 }
 
