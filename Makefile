@@ -3,9 +3,8 @@
 #   make check   — everything CI needs: formatting, vet, the hummer
 #                  contract linter, build, tests, the race detector on
 #                  the parallel and serving packages, the chaos
-#                  fault-storm, the coverage floor, the
-#                  perf-acceptance benchmarks in short mode, and
-#                  bench-check.
+#                  fault-storm, the coverage floor, the loadgen smoke,
+#                  and bench-check.
 #   make bench-check — the benchmark harness's vet + tests and its
 #                  correctness gate (bash benchmark/run.sh -check).
 #   make lint    — the repo's own static-analysis suite
@@ -18,7 +17,9 @@
 #                  fixed-seed fault schedule fires panics, errors and
 #                  delays at every layer.
 #   make serve   — launch hummerd on the quickstart example sources.
-#   make bench   — the full benchmark suite (longer).
+#   make bench   — the Go benchmarks (go test -bench), for profiling;
+#                  performance claims come from BENCHMARK.json +
+#                  benchmark/ only.
 #   make loadtest — fixed-seed closed-loop loadgen smoke + burst
 #                  admission tests against an in-process hummerd.
 #   make profile — start hummerd with -debug-addr, drive it with the
@@ -34,18 +35,19 @@ GO ?= go
 # ctx-threaded pipeline (cancellation joins worker goroutines, the
 # fused-result tier shares results across queries), so ctx-misuse
 # regressions surface here; engine carries the batched parallel
-# hash-join probe.
+# hash-join probe; obs carries the lock-free histograms scraped while
+# queries observe into them.
 RACE_PKGS = . ./internal/parshard ./internal/dupdetect ./internal/dumas \
 	./internal/qcache ./internal/server ./internal/plan ./internal/core \
-	./internal/engine
+	./internal/engine ./internal/obs
 
 # Packages held to the coverage floor (matching + detection core).
 COVER_PKGS = ./internal/dumas ./internal/dupdetect ./internal/assign ./internal/strsim
 COVER_FLOOR = 70
 
-.PHONY: check fmtcheck fmt vet lint build test race race-stream chaos cover bench bench-short bench-join bench-check serve loadtest obs-bench profile
+.PHONY: check fmtcheck fmt vet lint build test race chaos cover bench bench-check serve loadtest profile
 
-check: fmtcheck vet lint build test race race-stream chaos cover bench-short obs-bench loadtest bench-check
+check: fmtcheck vet lint build test race chaos cover loadtest bench-check
 
 fmtcheck:
 	@unformatted=$$(gofmt -l .); \
@@ -76,14 +78,6 @@ test:
 # and hummerd serves queries concurrently.
 race:
 	$(GO) test -race $(RACE_PKGS)
-
-# The streaming/batch API surface (Rows producer goroutines, NDJSON
-# streaming, per-statement deadlines) exercised under the race
-# detector with verbose-enough selection that a hang is attributable.
-# Redundant with `race` on coverage, but a fast, targeted signal when
-# iterating on the streaming path.
-race-stream:
-	$(GO) test -race -run 'Stream|Rows|Batch' . ./internal/plan ./internal/server
 
 # Fault containment under fire: the chaos storm (fixed fault seed
 # baked into the test) plus every injection/containment test, all
@@ -119,12 +113,6 @@ cover:
 	done; \
 	exit $$fail
 
-# The perf-acceptance benchmarks, one iteration each on small inputs:
-# proves the parallel path stays byte-identical and the hot path stays
-# allocation-lean without taking minutes.
-bench-short:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkDetect$$|BenchmarkPairComparison' -benchtime 1x ./...
-
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
@@ -136,19 +124,6 @@ bench:
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -check
-
-# Parallel-join perf gate: fails if the batched parallel probe
-# regresses more than 10% (plus a small scheduler-noise slack) against
-# the sequential streaming probe on the same workload. Timing-based,
-# so it runs on demand rather than in `check`.
-bench-join:
-	HUMMER_BENCH_JOIN=1 $(GO) test -count=1 -run TestParallelJoinRegression -v ./internal/engine
-
-# Tracing-overhead gate: the no-op span path must stay at zero
-# allocations (the test asserts it) and the benchmark keeps the number
-# visible in CI logs. A regression here taxes every untraced query.
-obs-bench:
-	$(GO) test -run 'TestNoopSpanZeroAllocs' -bench 'BenchmarkNoopSpan' -benchtime 1000x ./internal/obs
 
 # CPU-profile a loaded server: build both binaries, start hummerd on
 # the example sources with the pprof listener up, drive it with the

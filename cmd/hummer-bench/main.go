@@ -1,34 +1,20 @@
-// Command hummer-bench regenerates the reproduction experiments of
-// DESIGN.md §3 and prints their tables (the contents of
-// EXPERIMENTS.md).
+// Command hummer-bench regenerates the paper-quality reproduction
+// experiments (E3–E7, E9–E11) and prints their tables. Every table is
+// deterministic for a given seed; performance is measured by the
+// benchmark (BENCHMARK.json + benchmark/), not here.
 //
 // Usage:
 //
 //	hummer-bench                 # run all experiments
 //	hummer-bench -exp e5         # run one experiment
 //	hummer-bench -seed 7         # change the workload seed
-//	hummer-bench -json           # also write BENCH_<date>.json
-//	hummer-bench -json -out x.json
-//	hummer-bench -exp e12 -sizes 1000,5000,20000   # full scale-up
-//
-// The -json artifact records, per experiment, its wall-clock cost and
-// table, plus the machine-readable samples (timings,
-// duplicate-detection comparison counters, loadgen class results)
-// some experiments attach — the perf trajectory of the repo is
-// tracked through these files. Writing into an existing same-day
-// artifact MERGES: entries with the same experiment id are replaced,
-// others are kept, so `hummer-bench -json -exp e14` after a full run
-// refreshes one table instead of erasing twelve.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
-	"time"
 
 	"hummer/internal/experiments"
 )
@@ -37,99 +23,19 @@ func main() {
 	exp := flag.String("exp", "", "experiment id (e.g. e5); empty runs all: "+
 		strings.Join(experiments.IDs(), ", "))
 	seed := flag.Int64("seed", 2005, "workload seed")
-	jsonOut := flag.Bool("json", false, "write a BENCH_<date>.json artifact")
-	outPath := flag.String("out", "", "artifact path (default BENCH_<date>.json)")
-	sizes := flag.String("sizes", "", "comma-separated input sizes for e12/e13 (e.g. 1000,5000,20000)")
 	flag.Parse()
 
-	// Flags that silently do nothing are a trap: reject meaningless
-	// combinations instead of producing a misleading run.
-	if id := strings.ToLower(*exp); *sizes != "" && id != "e12" && id != "e13" {
-		fmt.Fprintln(os.Stderr, "hummer-bench: -sizes only applies to -exp e12 or e13")
-		os.Exit(1)
+	ids := experiments.IDs()
+	if *exp != "" {
+		ids = []string{*exp}
 	}
-	if *outPath != "" && !*jsonOut {
-		fmt.Fprintln(os.Stderr, "hummer-bench: -out requires -json")
-		os.Exit(1)
-	}
-
-	var reports []*experiments.Report
-	var entries []experiments.ArtifactEntry
-	t0 := time.Now()
-	run := func(gen func() *experiments.Report) {
-		s0 := time.Now()
-		rep := gen()
-		secs := time.Since(s0).Seconds()
+	for _, id := range ids {
+		rep := experiments.ByID(id, *seed)
 		if rep == nil {
-			return
-		}
-		reports = append(reports, rep)
-		entries = append(entries, experiments.EntryFor(rep, secs))
-	}
-
-	switch {
-	case *exp != "":
-		id := strings.ToLower(*exp)
-		if (id == "e12" || id == "e13") && *sizes != "" {
-			ns, err := parseSizes(*sizes)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "hummer-bench:", err)
-				os.Exit(1)
-			}
-			if id == "e12" {
-				run(func() *experiments.Report { return experiments.E12(*seed, ns) })
-			} else {
-				run(func() *experiments.Report { return experiments.E13(*seed, ns) })
-			}
-		} else {
-			run(func() *experiments.Report { return experiments.ByID(id, *seed) })
-		}
-		if len(reports) == 0 {
 			fmt.Fprintf(os.Stderr, "hummer-bench: unknown experiment %q (known: %s)\n",
-				*exp, strings.Join(experiments.IDs(), ", "))
+				id, strings.Join(experiments.IDs(), ", "))
 			os.Exit(1)
 		}
-	default:
-		for _, id := range experiments.IDs() {
-			id := id
-			run(func() *experiments.Report { return experiments.ByID(id, *seed) })
-		}
-	}
-
-	for _, rep := range reports {
 		fmt.Println(rep)
 	}
-
-	if *jsonOut {
-		art := &experiments.Artifact{
-			Date:         time.Now().Format("2006-01-02"),
-			Seed:         *seed,
-			GoMaxProcs:   runtime.GOMAXPROCS(0),
-			GoVersion:    runtime.Version(),
-			TotalSeconds: time.Since(t0).Seconds(),
-			Experiments:  entries,
-		}
-		path := *outPath
-		if path == "" {
-			path = "BENCH_" + art.Date + ".json"
-		}
-		n, err := experiments.WriteMerged(path, art)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hummer-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "hummer-bench: wrote %s (%d experiments)\n", path, n)
-	}
-}
-
-func parseSizes(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -sizes entry %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

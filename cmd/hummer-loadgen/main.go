@@ -17,7 +17,6 @@
 //	hummer-loadgen -mode open -ramp 20x5s,100x10s          # ramp profile
 //	hummer-loadgen -mix warm_fuse:8,select_stream:2        # reweight the class mix
 //	hummer-loadgen -print-schedule                         # dump the schedule, no traffic
-//	hummer-loadgen -json                                   # merge E16 into BENCH_<date>.json
 //
 // The workload classes are the default loadgen mix (warm/cold fusion,
 // materialized/streamed scans, streamed fusion, batches) over the
@@ -32,13 +31,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
+	"text/tabwriter"
 	"time"
 
-	"hummer/internal/experiments"
 	"hummer/internal/loadgen"
 )
 
@@ -56,13 +54,7 @@ func main() {
 	setup := flag.Bool("setup", false, "register the lg_s1/lg_s2/lg_big fixtures on the target before running")
 	entities := flag.Int("entities", 60, "fixture size for -setup (person entities; lg_big holds 2x rows)")
 	printSchedule := flag.Bool("print-schedule", false, "print the seeded schedule and exit without sending traffic")
-	jsonOut := flag.Bool("json", false, "merge the run as experiment E16 into the BENCH_<date>.json artifact")
-	outPath := flag.String("out", "", "artifact path for -json (default BENCH_<date>.json; merges with an existing file)")
 	flag.Parse()
-
-	if *outPath != "" && !*jsonOut {
-		fatal("-out requires -json")
-	}
 
 	cfg := loadgen.Config{
 		BaseURL:     strings.TrimRight(*url, "/"),
@@ -118,32 +110,52 @@ func main() {
 	}
 	cfg.Client = client
 
-	t0 := time.Now()
 	res, err := loadgen.Run(ctx, cfg)
 	if err != nil {
 		fatal("%v", err)
 	}
-	rep := experiments.E16Report(res, cfg.BaseURL)
-	fmt.Println(rep)
+	printResult(res, cfg.BaseURL)
+}
 
-	if *jsonOut {
-		art := &experiments.Artifact{
-			Date:         time.Now().Format("2006-01-02"),
-			Seed:         *seed,
-			GoMaxProcs:   runtime.GOMAXPROCS(0),
-			GoVersion:    runtime.Version(),
-			TotalSeconds: time.Since(t0).Seconds(),
-			Experiments:  []experiments.ArtifactEntry{experiments.EntryFor(rep, res.ElapsedSeconds)},
+// printResult renders a run as one row per workload class — request
+// and success counts, latency percentiles, and time to first row for
+// the streaming classes — followed by a note with the schedule
+// fingerprint, overall throughput and status counts.
+func printResult(res *loadgen.Result, target string) {
+	fmt.Printf("loadgen traffic mix (%s, %s-loop, %d requests)\n",
+		target, res.Mode, res.ScheduleRequests)
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "class\tendpoint\trequests\tok\tp50\tp95\tp99\tmax\tttfr p50")
+	for _, cr := range res.Classes {
+		ttfr := "-"
+		if cr.TTFR != nil {
+			ttfr = fmtSeconds(cr.TTFR.P50Seconds)
 		}
-		path := *outPath
-		if path == "" {
-			path = "BENCH_" + art.Date + ".json"
-		}
-		n, err := experiments.WriteMerged(path, art)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "hummer-loadgen: merged E16 into %s (%d experiments)\n", path, n)
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%s\t%s\t%s\t%s\t%s\n",
+			cr.Class, cr.Endpoint, cr.Requests, cr.Latency.Count,
+			fmtSeconds(cr.Latency.P50Seconds), fmtSeconds(cr.Latency.P95Seconds),
+			fmtSeconds(cr.Latency.P99Seconds), fmtSeconds(cr.Latency.MaxSeconds),
+			ttfr)
+	}
+	if err := tw.Flush(); err != nil {
+		fatal("writing results: %v", err)
+	}
+	fmt.Printf("note: schedule seed %d fingerprint %s (same seed => identical request schedule); cold classes purge the artifact cache before each request (purge excluded from the latency); overall %.1f req/s, statuses %v\n",
+		res.Seed, res.ScheduleFingerprint, res.ThroughputRPS, res.Statuses)
+}
+
+// fmtSeconds renders a duration-in-seconds at microsecond-ish
+// precision without trailing noise.
+func fmtSeconds(s float64) string {
+	switch {
+	case s <= 0:
+		return "0"
+	case s < 0.001:
+		return fmt.Sprintf("%.0fµs", s*1e6)
+	case s < 1:
+		return fmt.Sprintf("%.2fms", s*1e3)
+	default:
+		return fmt.Sprintf("%.3fs", s)
 	}
 }
 

@@ -1,37 +1,26 @@
-// Package experiments implements the reproduction experiments of
-// DESIGN.md §3 (E3–E10): each experiment generates its workload,
-// runs the component under test, and returns a formatted report table.
-// The cmd/hummer-bench binary prints these tables; EXPERIMENTS.md
-// records them.
+// Package experiments reproduces the paper's quality results as
+// deterministic tables: DUMAS schema matching (E3, E4, E10),
+// duplicate detection and its filter and candidate strategies (E5,
+// E6, E11), the conflict-resolution semantics of Fuse By (E7) and the
+// demo scenarios end to end (E9). Each experiment generates its
+// workload from a seed, runs the component under test, and returns a
+// report table; cmd/hummer-bench prints them. Timing lives in the
+// benchmark (BENCHMARK.json + benchmark/), not here.
 package experiments
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http/httptest"
-	"reflect"
-	"runtime"
 	"strings"
-	"sync"
-	"time"
 
-	"hummer"
 	"hummer/internal/core"
 	"hummer/internal/datagen"
 	"hummer/internal/dumas"
 	"hummer/internal/dupdetect"
 	"hummer/internal/eval"
-	"hummer/internal/fault"
 	"hummer/internal/fusion"
-	"hummer/internal/loadgen"
 	"hummer/internal/metadata"
-	"hummer/internal/qcache"
 	"hummer/internal/relation"
 	"hummer/internal/schema"
-	"hummer/internal/server"
 	"hummer/internal/thalia"
 	"hummer/internal/value"
 )
@@ -43,23 +32,6 @@ type Report struct {
 	Header []string
 	Rows   [][]string
 	Notes  string
-	// Samples are machine-readable measurements backing the table,
-	// written into the BENCH_<date>.json trajectory artifact by
-	// cmd/hummer-bench -json. Not rendered by String.
-	Samples []BenchSample
-}
-
-// BenchSample is one machine-readable measurement: a named run with
-// its wall-clock cost and the detector's comparison counters.
-type BenchSample struct {
-	Name    string          `json:"name"`
-	Rows    int             `json:"rows"`
-	Workers int             `json:"workers"`
-	Seconds float64         `json:"seconds"`
-	Stats   dupdetect.Stats `json:"stats"`
-	// Load carries a loadgen per-class measurement (statuses, latency
-	// and time-to-first-row percentiles) for the traffic experiments.
-	Load *loadgen.ClassResult `json:"load,omitempty"`
 }
 
 // String renders the report as an aligned text table.
@@ -356,61 +328,6 @@ func patternNames(patterns []struct {
 	return out
 }
 
-// E8 measures end-to-end Fuse By cost against input size and duplicate
-// ratio, with the plain outer union (no matching, no detection, no
-// fuzzy duplicate detection) as the baseline — the price of similarity-
-// based deduplication over exact grouping.
-func E8(seed int64, sizes []int) *Report {
-	rep := &Report{
-		ID:     "E8",
-		Title:  "Fuse By pipeline cost vs. input size (persons, 2 sources, wall-clock)",
-		Header: []string{"rows in", "rows out", "exact grouping", "full pipeline", "slowdown"},
-		Notes:  "the pipeline's duplicate detection is quadratic in input size; the outer-union baseline is linear",
-	}
-	for _, n := range sizes {
-		ents := datagen.Persons.Generate(seed, n/2)
-		repo := metadata.NewRepository()
-		specs := []datagen.SourceSpec{
-			{Alias: "s1", TypoRate: 0.1, NullRate: 0.05, Seed: seed + 1},
-			{Alias: "s2", Renames: personRenames, TypoRate: 0.1, NullRate: 0.05, Seed: seed + 2},
-		}
-		rows := 0
-		var aliases []string
-		for _, sp := range specs {
-			obs := datagen.ObserveShuffled(datagen.Persons, ents, sp)
-			if err := repo.RegisterRelation(sp.Alias, obs.Rel); err != nil {
-				continue
-			}
-			aliases = append(aliases, sp.Alias)
-			rows += obs.Rel.Len()
-		}
-		p := &core.Pipeline{Repo: repo}
-
-		t0 := nowMono()
-		base, err := p.Run(aliases, core.Options{ExactGrouping: true, FuseBy: []string{"Email"}})
-		baseDur := nowMono() - t0
-		if err != nil {
-			continue
-		}
-		t1 := nowMono()
-		full, err := p.Run(aliases, core.Options{})
-		fullDur := nowMono() - t1
-		if err != nil {
-			continue
-		}
-		_ = base
-		slow := "-"
-		if baseDur > 0 {
-			slow = fmt.Sprintf("%.0fx", float64(fullDur)/float64(baseDur))
-		}
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprint(rows), fmt.Sprint(full.Fused.Rel.Len()),
-			fmtDuration(baseDur), fmtDuration(fullDur), slow,
-		})
-	}
-	return rep
-}
-
 // E9 runs the three demo scenarios of §1 end-to-end and summarizes
 // each phase's output.
 func E9(seed int64) *Report {
@@ -551,467 +468,6 @@ func E11(seed int64, entities, dupesPer int) *Report {
 	return rep
 }
 
-// E12 is the scale-up experiment for the sharded parallel detector:
-// every candidate-generation strategy (exhaustive, sorted-neighborhood
-// window, prefix blocking), each run sequentially (Parallelism=1) and
-// parallel (Parallelism=0 ⇒ GOMAXPROCS), at growing input sizes. The
-// parallel run must return a byte-identical clustering — the "same"
-// column asserts it — so the speedup column is pure wall-clock.
-func E12(seed int64, sizes []int) *Report {
-	rep := &Report{
-		ID:     "E12",
-		Title:  "parallel sharded detection scale-up (exhaustive / window / blocking)",
-		Header: []string{"rows", "method", "candidates", "compared", "sequential", "parallel", "speedup", "same", "F1"},
-		Notes: fmt.Sprintf("parallel = %d workers (GOMAXPROCS); full scale-up: hummer-bench -exp e12 -sizes 1000,5000,20000",
-			runtime.GOMAXPROCS(0)),
-	}
-	methods := []struct {
-		label string
-		cfg   dupdetect.Config
-	}{
-		{"exhaustive", dupdetect.Config{Threshold: 0.8}},
-		{"SNM w=10", dupdetect.Config{Threshold: 0.8, Window: 10}},
-		{"blocking p=4", dupdetect.Config{Threshold: 0.8, Blocking: 4}},
-	}
-	for _, n := range sizes {
-		ents := datagen.Persons.Generate(seed, n/2)
-		obs := datagen.DirtyTable(datagen.Persons, ents, 2, datagen.SourceSpec{
-			Alias: "dirty", TypoRate: 0.15, NullRate: 0.1, Seed: seed + 6,
-		})
-		for _, meth := range methods {
-			seqCfg := meth.cfg
-			seqCfg.Parallelism = 1
-			t0 := nowMono()
-			seq, err := dupdetect.Detect(obs.Rel, seqCfg)
-			seqDur := nowMono() - t0
-			if err != nil {
-				rep.Rows = append(rep.Rows, []string{fmt.Sprint(obs.Rel.Len()), meth.label, "err: " + err.Error(), "", "", "", "", "", ""})
-				continue
-			}
-			parCfg := meth.cfg
-			parCfg.Parallelism = 0 // GOMAXPROCS
-			t1 := nowMono()
-			par, err := dupdetect.Detect(obs.Rel, parCfg)
-			parDur := nowMono() - t1
-			if err != nil {
-				rep.Rows = append(rep.Rows, []string{fmt.Sprint(obs.Rel.Len()), meth.label, "err: " + err.Error(), "", "", "", "", "", ""})
-				continue
-			}
-			same := "yes"
-			if !reflect.DeepEqual(seq, par) {
-				same = "NO"
-			}
-			speedup := "-"
-			if parDur > 0 {
-				speedup = fmt.Sprintf("%.2fx", float64(seqDur)/float64(parDur))
-			}
-			m := eval.DuplicatePairs(seq.ObjectIDs, obs.EntityIDs)
-			rep.Rows = append(rep.Rows, []string{
-				fmt.Sprint(obs.Rel.Len()), meth.label,
-				fmt.Sprint(seq.Stats.CandidatePairs), fmt.Sprint(seq.Stats.Compared),
-				fmtDuration(seqDur), fmtDuration(parDur), speedup, same, f3(m.F1),
-			})
-			rep.Samples = append(rep.Samples,
-				BenchSample{
-					Name: "e12/" + meth.label + "/sequential", Rows: obs.Rel.Len(),
-					Workers: 1, Seconds: float64(seqDur) / 1e9, Stats: seq.Stats,
-				},
-				BenchSample{
-					Name: "e12/" + meth.label + "/parallel", Rows: obs.Rel.Len(),
-					Workers: runtime.GOMAXPROCS(0), Seconds: float64(parDur) / 1e9, Stats: par.Stats,
-				})
-		}
-	}
-	return rep
-}
-
-// E13 is the scale-up experiment for the sharded parallel DUMAS
-// matcher: every duplicate-discovery strategy (token index, sorted-
-// neighborhood window, q-gram prefix blocking), each run sequentially
-// (Parallelism=1) and parallel (Parallelism=0 ⇒ GOMAXPROCS), at
-// growing input sizes (n rows per source ⇒ an n×n cross-relation
-// sweep). The parallel run must return a byte-identical Result — the
-// "same" column asserts it — so the speedup column is pure wall-clock.
-func E13(seed int64, sizes []int) *Report {
-	rep := &Report{
-		ID:     "E13",
-		Title:  "parallel sharded DUMAS matching scale-up (token index / window / q-grams)",
-		Header: []string{"rows×rows", "method", "candidates", "scored", "sequential", "parallel", "speedup", "same", "F1"},
-		Notes: fmt.Sprintf("parallel = %d workers (GOMAXPROCS); full scale-up: hummer-bench -exp e13 -sizes 300,900",
-			runtime.GOMAXPROCS(0)),
-	}
-	truth := matchingTruth(personRenames, datagen.Persons.Attributes)
-	methods := []struct {
-		label string
-		cfg   dumas.Config
-	}{
-		{"token index", dumas.Config{}},
-		{"SNM w=20", dumas.Config{Window: 20}},
-		{"q-grams q=3", dumas.Config{QGrams: 3}},
-	}
-	for _, n := range sizes {
-		ents := datagen.Persons.Generate(seed, n)
-		left := datagen.ObserveShuffled(datagen.Persons, ents, datagen.SourceSpec{
-			Alias: "s1", TypoRate: 0.1, NullRate: 0.05, Seed: seed + 7,
-		})
-		right := datagen.ObserveShuffled(datagen.Persons, ents, datagen.SourceSpec{
-			Alias: "s2", Renames: personRenames, TypoRate: 0.1, NullRate: 0.05, Seed: seed + 8,
-		})
-		dims := fmt.Sprintf("%d×%d", left.Rel.Len(), right.Rel.Len())
-		for _, meth := range methods {
-			seqCfg := meth.cfg
-			seqCfg.Parallelism = 1
-			t0 := nowMono()
-			seq, err := dumas.Match(left.Rel, right.Rel, seqCfg)
-			seqDur := nowMono() - t0
-			if err != nil {
-				rep.Rows = append(rep.Rows, []string{dims, meth.label, "err: " + err.Error(), "", "", "", "", "", ""})
-				continue
-			}
-			parCfg := meth.cfg
-			parCfg.Parallelism = 0 // GOMAXPROCS
-			t1 := nowMono()
-			par, err := dumas.Match(left.Rel, right.Rel, parCfg)
-			parDur := nowMono() - t1
-			if err != nil {
-				rep.Rows = append(rep.Rows, []string{dims, meth.label, "err: " + err.Error(), "", "", "", "", "", ""})
-				continue
-			}
-			same := "yes"
-			if !reflect.DeepEqual(seq, par) {
-				same = "NO"
-			}
-			speedup := "-"
-			if parDur > 0 {
-				speedup = fmt.Sprintf("%.2fx", float64(seqDur)/float64(parDur))
-			}
-			m := eval.Matching(seq.Correspondences, truth)
-			rep.Rows = append(rep.Rows, []string{
-				dims, meth.label,
-				fmt.Sprint(seq.Stats.CandidatePairs), fmt.Sprint(seq.Stats.Scored),
-				fmtDuration(seqDur), fmtDuration(parDur), speedup, same, f3(m.F1),
-			})
-			rep.Samples = append(rep.Samples,
-				BenchSample{
-					Name: "e13/" + meth.label + "/sequential", Rows: left.Rel.Len() + right.Rel.Len(),
-					Workers: 1, Seconds: float64(seqDur) / 1e9,
-					Stats: dupdetect.Stats{CandidatePairs: seq.Stats.CandidatePairs, Compared: seq.Stats.Scored},
-				},
-				BenchSample{
-					Name: "e13/" + meth.label + "/parallel", Rows: left.Rel.Len() + right.Rel.Len(),
-					Workers: runtime.GOMAXPROCS(0), Seconds: float64(parDur) / 1e9,
-					Stats: dupdetect.Stats{CandidatePairs: par.Stats.CandidatePairs, Compared: par.Stats.Scored},
-				})
-		}
-	}
-	return rep
-}
-
-// E14 measures served-query performance through hummerd's HTTP API:
-// a test server over one shared DB with the versioned artifact cache.
-// One FUSE BY query is served cold (computing the DUMAS match and the
-// duplicate detection), then the same query is served warm —
-// sequentially and from concurrent clients — where every expensive
-// artifact comes from the cache. The "identical" column asserts that
-// each warm HTTP response is byte-identical to the cold one, and the
-// hit-rate column is read back through the /v1/stats endpoint, so the
-// numbers in BENCH_*.json certify the cache from the outside.
-func E14(seed int64, entities, warmQueries, clients int) *Report {
-	if clients < 1 {
-		clients = 1
-	}
-	if clients > warmQueries {
-		clients = warmQueries // at least one query per client, no 0-query rows
-	}
-	rep := &Report{
-		ID:    "E14",
-		Title: fmt.Sprintf("hummerd served-query throughput, cold vs warm (persons, %d entities, 2 sources)", entities),
-		Header: []string{"phase", "queries", "clients", "total", "per query", "q/s",
-			"cache hit rate", "identical"},
-		Notes: "warm queries skip DUMAS + duplicate detection entirely (artifact cache); identical = every warm response byte-equals the cold one",
-	}
-
-	ents := datagen.Persons.Generate(seed, entities)
-	left := datagen.ObserveShuffled(datagen.Persons, ents, datagen.SourceSpec{
-		Alias: "s1", TypoRate: 0.1, NullRate: 0.05, Seed: seed + 9,
-	})
-	right := datagen.ObserveShuffled(datagen.Persons, ents, datagen.SourceSpec{
-		Alias: "s2", Renames: personRenames, TypoRate: 0.1, NullRate: 0.05, Seed: seed + 10,
-	})
-	db := hummer.New()
-	if err := db.RegisterTable("s1", left.Rel); err != nil {
-		rep.Notes = "setup error: " + err.Error()
-		return rep
-	}
-	if err := db.RegisterTable("s2", right.Rel); err != nil {
-		rep.Notes = "setup error: " + err.Error()
-		return rep
-	}
-	ts := httptest.NewServer(server.New(db).Handler())
-	defer ts.Close()
-
-	const query = `SELECT Name, RESOLVE(Age, max) FUSE FROM s1, s2 FUSE BY (Name) ORDER BY Name`
-	body, err := json.Marshal(map[string]string{"sql": query})
-	if err != nil {
-		rep.Notes = "setup error: " + err.Error()
-		return rep
-	}
-	post := func() ([]byte, error) {
-		resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != 200 {
-			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, data)
-		}
-		return data, nil
-	}
-	hitRate := func() float64 {
-		resp, err := ts.Client().Get(ts.URL + "/v1/stats")
-		if err != nil {
-			return -1
-		}
-		defer resp.Body.Close()
-		var st struct {
-			DB struct {
-				Cache qcache.Stats `json:"cache"`
-			} `json:"db"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return -1
-		}
-		return st.DB.Cache.HitRate()
-	}
-	rows := left.Rel.Len() + right.Rel.Len()
-	addRow := func(phase string, queries, clients int, dur int64, identical string) {
-		perQuery := dur / int64(queries)
-		qps := "-"
-		if dur > 0 {
-			qps = fmt.Sprintf("%.0f", float64(queries)/(float64(dur)/1e9))
-		}
-		rep.Rows = append(rep.Rows, []string{
-			phase, fmt.Sprint(queries), fmt.Sprint(clients),
-			fmtDuration(dur), fmtDuration(perQuery), qps,
-			fmt.Sprintf("%.0f%%", hitRate()*100), identical,
-		})
-		rep.Samples = append(rep.Samples, BenchSample{
-			Name: "e14/" + phase, Rows: rows, Workers: clients,
-			Seconds: float64(dur) / 1e9,
-		})
-	}
-
-	// Cold: the one query that computes the artifacts.
-	t0 := nowMono()
-	cold, err := post()
-	coldDur := nowMono() - t0
-	if err != nil {
-		rep.Notes = "cold query error: " + err.Error()
-		return rep
-	}
-	addRow("cold", 1, 1, coldDur, "-")
-
-	// Warm, sequential: pure cache-served latency.
-	identical := "yes"
-	t1 := nowMono()
-	for i := 0; i < warmQueries; i++ {
-		warm, err := post()
-		if err != nil {
-			rep.Notes = "warm query error: " + err.Error()
-			return rep
-		}
-		if !bytes.Equal(warm, cold) {
-			identical = "NO"
-		}
-	}
-	addRow("warm sequential", warmQueries, 1, nowMono()-t1, identical)
-
-	// Warm, concurrent: clients hammering the same statement.
-	identical = "yes"
-	var mu sync.Mutex
-	var firstErr error
-	t2 := nowMono()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Containment: a panicking client goroutine becomes the
-			// experiment's error row, not a dead bench run.
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fault.NewInternal("experiments.e14", r)
-					}
-					mu.Unlock()
-				}
-			}()
-			for i := 0; i < warmQueries/clients; i++ {
-				warm, err := post()
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				} else if err == nil && !bytes.Equal(warm, cold) {
-					identical = "NO"
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		rep.Notes = "concurrent query error: " + firstErr.Error()
-		return rep
-	}
-	addRow("warm concurrent", (warmQueries/clients)*clients, clients, nowMono()-t2, identical)
-	return rep
-}
-
-// E15 compares the materialized query path (DB.Query: the complete
-// result relation is built before the caller sees a row) against the
-// streaming path (DB.QueryRows: rows leave the engine in chunks) on a
-// large plain-SELECT result: wall-clock total, time to first row, and
-// bytes allocated per drain. The streamed drain holds at most one
-// chunk at a time, so its allocation volume stays flat where the
-// materialized path grows with the result — the number that matters
-// once results stop fitting comfortably in one response buffer.
-// Experiments run on a background context: a bench run is never
-// cancelled mid-measurement.
-func E15(seed int64, sizes []int) *Report {
-	rep := &Report{
-		ID:     "E15",
-		Title:  "streamed vs materialized large-result drain (plain SELECT)",
-		Header: []string{"rows", "mode", "total", "first row", "alloc MB", "rows/s", "identical"},
-		Notes:  "alloc MB = TotalAlloc delta over one drain after GC; streamed holds one 64-row chunk at a time",
-	}
-	for _, n := range sizes {
-		ents := datagen.Persons.Generate(seed, n/2)
-		obs := datagen.DirtyTable(datagen.Persons, ents, 2, datagen.SourceSpec{
-			Alias: "big", TypoRate: 0.1, NullRate: 0.05, Seed: seed + 15,
-		})
-		db := hummer.New()
-		if err := db.RegisterTable("big", obs.Rel); err != nil {
-			rep.Notes = "setup error: " + err.Error()
-			return rep
-		}
-		const query = `SELECT * FROM big`
-
-		measure := func(run func() (rows int, firstRow int64, err error)) (rows int, total, firstRow int64, allocMB float64, err error) {
-			var m0, m1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			t0 := nowMono()
-			rows, firstRow, err = run()
-			total = nowMono() - t0
-			runtime.ReadMemStats(&m1)
-			allocMB = float64(m1.TotalAlloc-m0.TotalAlloc) / 1e6
-			return
-		}
-
-		matRows, matTotal, matFirst, matAlloc, err := measure(func() (int, int64, error) {
-			t0 := nowMono()
-			res, err := db.Query(query)
-			if err != nil {
-				return 0, 0, err
-			}
-			return res.Rel.Len(), nowMono() - t0, nil
-		})
-		if err != nil {
-			rep.Notes = "materialized error: " + err.Error()
-			return rep
-		}
-
-		strRows, strTotal, strFirst, strAlloc, err := measure(func() (int, int64, error) {
-			t0 := nowMono()
-			rows, err := db.QueryRows(context.Background(), query)
-			if err != nil {
-				return 0, 0, err
-			}
-			defer rows.Close()
-			count, first := 0, int64(0)
-			for rows.Next() {
-				if count == 0 {
-					first = nowMono() - t0
-				}
-				count++
-			}
-			return count, first, rows.Err()
-		})
-		if err != nil {
-			rep.Notes = "streamed error: " + err.Error()
-			return rep
-		}
-
-		identical := "yes"
-		if strRows != matRows {
-			identical = "NO"
-		}
-		addRow := func(mode string, rows int, total, first int64, allocMB float64) {
-			rps := "-"
-			if total > 0 {
-				rps = fmt.Sprintf("%.0f", float64(rows)/(float64(total)/1e9))
-			}
-			rep.Rows = append(rep.Rows, []string{
-				fmt.Sprint(rows), mode, fmtDuration(total), fmtDuration(first),
-				f2(allocMB), rps, identical,
-			})
-			rep.Samples = append(rep.Samples, BenchSample{
-				Name: "e15/" + mode, Rows: rows, Workers: 1, Seconds: float64(total) / 1e9,
-			})
-		}
-		addRow("materialized", matRows, matTotal, matFirst, matAlloc)
-		addRow("streamed", strRows, strTotal, strFirst, strAlloc)
-	}
-	return rep
-}
-
-// e15QuickSizes: big enough that the allocation gap is unambiguous,
-// small enough for the default suite.
-var e15QuickSizes = []int{10000, 40000}
-
-// e12QuickSizes keeps the default suite (and its tests) fast; the full
-// {1k, 5k, 20k} scale-up is an explicit hummer-bench -sizes run.
-var e12QuickSizes = []int{400, 1200}
-
-// e13QuickSizes: the 900×900 sweep is the acceptance size for the
-// parallel matcher; 300 shows the trend.
-var e13QuickSizes = []int{300, 900}
-
-// E14 defaults: a workload big enough that the cold query visibly
-// pays for matching + detection, and enough warm queries that the
-// served throughput number is stable.
-const (
-	e14Entities    = 400
-	e14WarmQueries = 64
-	e14Clients     = 8
-)
-
-// All runs every experiment with default parameters, in order.
-func All(seed int64) []*Report {
-	return []*Report{
-		E3(seed, 200),
-		E4(seed, 200),
-		E5(seed, 80, 3),
-		E6(seed, []int{100, 200, 400}),
-		E7(),
-		E8(seed, []int{200, 400, 800}),
-		E9(seed),
-		E10(seed, 60),
-		E11(seed, 80, 3),
-		E12(seed, e12QuickSizes),
-		E13(seed, e13QuickSizes),
-		E14(seed, e14Entities, e14WarmQueries, e14Clients),
-		E15(seed, e15QuickSizes),
-		E16(seed, e16Requests, e16Concurrency),
-		E17(seed, e17Seeds),
-	}
-}
-
 // ByID returns the named experiment (case-insensitive), or nil.
 func ByID(id string, seed int64) *Report {
 	switch strings.ToLower(id) {
@@ -1025,26 +481,12 @@ func ByID(id string, seed int64) *Report {
 		return E6(seed, []int{100, 200, 400})
 	case "e7":
 		return E7()
-	case "e8":
-		return E8(seed, []int{200, 400, 800})
 	case "e9":
 		return E9(seed)
 	case "e10":
 		return E10(seed, 60)
 	case "e11":
 		return E11(seed, 80, 3)
-	case "e12":
-		return E12(seed, e12QuickSizes)
-	case "e13":
-		return E13(seed, e13QuickSizes)
-	case "e14":
-		return E14(seed, e14Entities, e14WarmQueries, e14Clients)
-	case "e15":
-		return E15(seed, e15QuickSizes)
-	case "e16":
-		return E16(seed, e16Requests, e16Concurrency)
-	case "e17":
-		return E17(seed, e17Seeds)
 	default:
 		return nil
 	}
@@ -1052,7 +494,7 @@ func ByID(id string, seed int64) *Report {
 
 // IDs lists the experiment ids ByID accepts, in canonical run order.
 func IDs() []string {
-	return []string{"e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17"}
+	return []string{"e3", "e4", "e5", "e6", "e7", "e9", "e10", "e11"}
 }
 
 func minInt(a, b int) int {
@@ -1060,20 +502,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// nowMono returns a monotonic nanosecond reading for coarse wall-clock
-// measurements inside experiments.
-func nowMono() int64 { return time.Now().UnixNano() }
-
-func fmtDuration(ns int64) string {
-	d := time.Duration(ns)
-	switch {
-	case d < time.Millisecond:
-		return fmt.Sprintf("%.0fµs", float64(d)/float64(time.Microsecond))
-	case d < time.Second:
-		return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
-	default:
-		return fmt.Sprintf("%.2fs", float64(d)/float64(time.Second))
-	}
 }

@@ -56,7 +56,9 @@ type HistSnapshot struct {
 	Seconds float64
 }
 
-// Snapshot copies the histogram's current state.
+// Snapshot copies the histogram's current state. The per-bucket loads
+// are not atomic as a group, but each bucket is monotone, so the copy
+// is always a valid histogram.
 func (h *DurationHist) Snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
@@ -64,11 +66,14 @@ func (h *DurationHist) Snapshot() HistSnapshot {
 	s := HistSnapshot{
 		Bounds:  h.bounds,
 		Buckets: make([]uint64, len(h.buckets)),
-		Count:   h.count.Load(),
 		Seconds: float64(h.nanos.Load()) / float64(time.Second),
 	}
+	// Derive the total from the bucket loads, not h.count: a concurrent
+	// Observe between the two would leave the bucket sum above Count,
+	// a finite cumulative bucket above le="+Inf" in the exposition.
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }

@@ -159,8 +159,7 @@ func TestRingDisabled(t *testing.T) {
 }
 
 // TestRingConcurrent hammers Add and Snapshot from many goroutines;
-// run under -race (the Makefile's race target covers this package's
-// importers; `go test -race ./internal/obs` covers it directly).
+// run under -race (the Makefile's race target includes this package).
 func TestRingConcurrent(t *testing.T) {
 	r := NewRing(8)
 	var wg sync.WaitGroup
@@ -232,6 +231,53 @@ func TestDurationHist(t *testing.T) {
 	nilh.Observe(time.Second) // must not panic
 	if nilh.Snapshot().Count != 0 {
 		t.Error("nil hist must be empty")
+	}
+}
+
+// TestDurationHistSnapshotConsistent snapshots while goroutines
+// observe: every snapshot's Count must equal its bucket sum, or the
+// exposition prints a finite cumulative bucket above le="+Inf". Run
+// under -race (the Makefile's race target includes this package).
+func TestDurationHistSnapshotConsistent(t *testing.T) {
+	h := NewDurationHist(StallBounds)
+	const workers, per = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.Observe(time.Duration(w*i) * time.Microsecond)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	check := func(s HistSnapshot) {
+		t.Helper()
+		var sum uint64
+		for _, n := range s.Buckets {
+			sum += n
+		}
+		if sum != s.Count {
+			t.Fatalf("bucket sum %d != count %d", sum, s.Count)
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check(h.Snapshot())
+	}
+	s := h.Snapshot()
+	check(s)
+	if s.Count != workers*per {
+		t.Fatalf("count = %d, want %d", s.Count, workers*per)
 	}
 }
 

@@ -485,7 +485,7 @@ type statsResponse struct {
 	// the planner's cross-statement CSE tier: source subtrees served
 	// from (or piggybacked on) another statement's materialization vs
 	// subtrees that had to materialize. Their ratio is the batch
-	// sharing rate E17 verifies.
+	// sharing rate TestBatchOverlappingSourcesOnePass verifies.
 	CSESharedTotal uint64       `json:"cse_shared_total"`
 	CSEUniqueTotal uint64       `json:"cse_unique_total"`
 	DB             hummer.Stats `json:"db"`
