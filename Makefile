@@ -7,6 +7,9 @@
 #                  and bench-check.
 #   make bench-check — the benchmark harness's vet + tests and its
 #                  correctness gate (bash benchmark/run.sh -check).
+#   make bench-agree — two sets of benchmark runs of the same code,
+#                  compared under BENCHMARK.json's bounds (about 10
+#                  min, so not part of check).
 #   make lint    — the repo's own static-analysis suite
 #                  (cmd/hummer-lint): panic containment on every
 #                  goroutine, determinism bans in result-producing
@@ -35,8 +38,8 @@ GO ?= go
 # ctx-threaded pipeline (cancellation joins worker goroutines, the
 # fused-result tier shares results across queries), so ctx-misuse
 # regressions surface here; engine carries the batched parallel
-# hash-join probe; obs carries the lock-free histograms scraped while
-# queries observe into them.
+# hash-join probe; obs holds the lock-free histograms that hummerd and
+# the stream producers both observe into while /metrics scrapes them.
 RACE_PKGS = . ./internal/parshard ./internal/dupdetect ./internal/dumas \
 	./internal/qcache ./internal/server ./internal/plan ./internal/core \
 	./internal/engine ./internal/obs
@@ -45,7 +48,7 @@ RACE_PKGS = . ./internal/parshard ./internal/dupdetect ./internal/dumas \
 COVER_PKGS = ./internal/dumas ./internal/dupdetect ./internal/assign ./internal/strsim
 COVER_FLOOR = 70
 
-.PHONY: check fmtcheck fmt vet lint build test race chaos cover bench bench-check serve loadtest profile
+.PHONY: check fmtcheck fmt vet lint build test race chaos cover bench bench-check bench-agree serve loadtest profile
 
 check: fmtcheck vet lint build test race chaos cover loadtest bench-check
 
@@ -124,6 +127,12 @@ bench:
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -check
+
+# Whether the benchmark can tell this machine's runs apart: two sets of
+# runs of the same code, each workload's metrics held to its bound.
+# Exits non-zero on any disagreement.
+bench-agree:
+	bash benchmark/run.sh -agree
 
 # CPU-profile a loaded server: build both binaries, start hummerd on
 # the example sources with the pprof listener up, drive it with the

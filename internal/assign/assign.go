@@ -152,8 +152,8 @@ func hungarian(cost [][]float64) []int {
 }
 
 // Greedy computes a matching by repeatedly taking the highest-weight
-// remaining cell. It is the ablation baseline for DESIGN.md D5: fast,
-// but not optimal.
+// remaining cell. It is the greedy ablation baseline for MaxWeight:
+// fast, but not optimal.
 func Greedy(w [][]float64) []Pair {
 	n := len(w)
 	if n == 0 {

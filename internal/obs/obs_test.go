@@ -234,6 +234,73 @@ func TestDurationHist(t *testing.T) {
 	}
 }
 
+// TestDurationHistNegativeClamped: a negative duration counts as 0 in
+// both the first bucket and the sum, instead of wrapping to ~1.8e10 s.
+func TestDurationHistNegativeClamped(t *testing.T) {
+	h := NewDurationHist([]float64{0.001, 0.01})
+	h.Observe(-time.Millisecond)
+	h.Observe(5 * time.Millisecond)
+	s := h.Snapshot()
+	if s.Count != 2 || s.Buckets[0] != 1 || s.Buckets[1] != 1 {
+		t.Errorf("buckets = %v (count %d), want [1 1 0]", s.Buckets, s.Count)
+	}
+	if s.Seconds != 0.005 {
+		t.Errorf("sum seconds = %v, want 0.005", s.Seconds)
+	}
+}
+
+// TestHistSnapshotQuantile: interpolated percentiles bracket the true
+// values at bucket resolution, overflow floors at the largest finite
+// bound, and an empty histogram reports 0.
+func TestHistSnapshotQuantile(t *testing.T) {
+	bounds := []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+		0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
+
+	// 100 observations at ~2ms: all in the (0.001, 0.0025] bucket.
+	h := NewDurationHist(bounds)
+	for i := 0; i < 100; i++ {
+		h.Observe(2 * time.Millisecond)
+	}
+	s := h.Snapshot()
+	if s.Count != 100 {
+		t.Fatalf("count = %d, want 100", s.Count)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		if got := s.Quantile(q); got <= 0.001 || got > 0.0025 {
+			t.Errorf("Quantile(%v) = %v, want in (0.001, 0.0025]", q, got)
+		}
+	}
+
+	// A bimodal distribution: p50 in the low mode, p99 in the high one.
+	h2 := NewDurationHist(bounds)
+	for i := 0; i < 90; i++ {
+		h2.Observe(2 * time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		h2.Observe(700 * time.Millisecond)
+	}
+	s2 := h2.Snapshot()
+	if p50 := s2.Quantile(0.50); p50 > 0.0025 {
+		t.Errorf("p50 = %v, want <= 0.0025", p50)
+	}
+	if p99 := s2.Quantile(0.99); p99 <= 0.5 || p99 > 1 {
+		t.Errorf("p99 = %v, want in (0.5, 1]", p99)
+	}
+
+	// Beyond the last bound: the quantile floors at the largest finite
+	// bound rather than inventing a value.
+	h3 := NewDurationHist(bounds)
+	h3.Observe(5 * time.Minute)
+	if got := h3.Snapshot().Quantile(0.5); got != 60 {
+		t.Errorf("overflow quantile = %v, want 60", got)
+	}
+
+	// Empty histogram.
+	if got := NewDurationHist(bounds).Snapshot().Quantile(0.99); got != 0 {
+		t.Errorf("empty quantile = %v, want 0", got)
+	}
+}
+
 // TestDurationHistSnapshotConsistent snapshots while goroutines
 // observe: every snapshot's Count must equal its bucket sum, or the
 // exposition prints a finite cumulative bucket above le="+Inf". Run

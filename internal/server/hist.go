@@ -1,117 +1,28 @@
 package server
 
 import (
+	"fmt"
 	"strconv"
-	"sync/atomic"
-	"time"
+	"strings"
+
+	"hummer/internal/obs"
 )
 
-// latencyBucketBounds are the fixed upper bounds (seconds, inclusive)
-// of the query-latency histogram buckets, shared by every query class.
-// The range spans sub-millisecond warm cache hits up to the 60s
-// default query timeout; one extra implicit +Inf bucket catches
-// everything beyond. Fixed buckets — not a sliding-window quantile
-// sketch — keep Observe to one atomic add, make exposition mergeable
-// across scrapes and processes, and are what lets a load generator
-// cross-check its client-side percentiles against the server's.
-var latencyBucketBounds = [...]float64{
+// latencyBounds are the fixed upper bounds (seconds, inclusive) of the
+// query-latency and phase-duration histogram buckets. The range spans
+// sub-millisecond warm cache hits up to the 60s default query timeout;
+// one extra implicit +Inf bucket catches everything beyond. Fixed
+// buckets are what lets a load generator cross-check its client-side
+// percentiles against the server's.
+var latencyBounds = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// latencyHist is a fixed-bucket latency histogram safe for concurrent
-// Observe. Buckets hold per-bucket (non-cumulative) counts; exposition
-// cumulates them into the Prometheus le-convention.
-type latencyHist struct {
-	buckets [len(latencyBucketBounds) + 1]atomic.Uint64
-	count   atomic.Uint64
-	nanos   atomic.Uint64
-}
-
-// Observe records one duration.
-func (h *latencyHist) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	secs := d.Seconds()
-	idx := len(latencyBucketBounds) // +Inf
-	for i, bound := range latencyBucketBounds {
-		if secs <= bound {
-			idx = i
-			break
-		}
-	}
-	h.buckets[idx].Add(1)
-	h.count.Add(1)
-	h.nanos.Add(uint64(d))
-}
-
-// histSnapshot is a point-in-time copy of a histogram. The per-bucket
-// loads are not atomic as a group — counters race ahead under load —
-// but each bucket is monotone, so a snapshot is always a valid (if
-// slightly torn) histogram.
-type histSnapshot struct {
-	buckets [len(latencyBucketBounds) + 1]uint64
-	count   uint64
-	seconds float64
-}
-
-func (h *latencyHist) snapshot() histSnapshot {
-	var s histSnapshot
-	for i := range h.buckets {
-		s.buckets[i] = h.buckets[i].Load()
-	}
-	// Derive the total from the bucket loads, not h.count: a concurrent
-	// Observe between the two would make count exceed the bucket sum
-	// and break the le="+Inf" == _count invariant scrapers check.
-	for _, n := range s.buckets {
-		s.count += n
-	}
-	s.seconds = float64(h.nanos.Load()) / float64(time.Second)
-	return s
-}
-
-// quantile estimates the q-quantile (0 < q < 1) from the bucket
-// counts, interpolating linearly within the bucket that holds the
-// target rank. Values in the +Inf bucket report the largest finite
-// bound — a floor, honest about the histogram's resolution. Returns 0
-// for an empty histogram.
-func (s histSnapshot) quantile(q float64) float64 {
-	if s.count == 0 {
-		return 0
-	}
-	rank := q * float64(s.count)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum float64
-	for i, n := range s.buckets {
-		if n == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(n)
-		if cum < rank {
-			continue
-		}
-		if i == len(latencyBucketBounds) {
-			return latencyBucketBounds[len(latencyBucketBounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = latencyBucketBounds[i-1]
-		}
-		upper := latencyBucketBounds[i]
-		return lower + (upper-lower)*(rank-prev)/float64(n)
-	}
-	return latencyBucketBounds[len(latencyBucketBounds)-1]
-}
-
-// LatencySummary is the /v1/stats rendering of one class's latency
-// histogram: count, total and estimated percentiles (interpolated
-// from the fixed buckets, so they carry bucket-resolution error — the
-// exact distribution is on /metrics for anyone who wants to do
-// better).
+// LatencySummary is the /v1/stats rendering of one latency histogram:
+// count, total and estimated percentiles (interpolated from the fixed
+// buckets, so they carry bucket-resolution error — the exact
+// distribution is on /metrics for anyone who wants to do better).
 type LatencySummary struct {
 	Count      uint64  `json:"count"`
 	SumSeconds float64 `json:"sum_seconds"`
@@ -120,19 +31,35 @@ type LatencySummary struct {
 	P99Seconds float64 `json:"p99_seconds"`
 }
 
-func (h *latencyHist) summary() LatencySummary {
-	s := h.snapshot()
+func latencySummary(s obs.HistSnapshot) LatencySummary {
 	return LatencySummary{
-		Count:      s.count,
-		SumSeconds: s.seconds,
-		P50Seconds: s.quantile(0.50),
-		P95Seconds: s.quantile(0.95),
-		P99Seconds: s.quantile(0.99),
+		Count:      s.Count,
+		SumSeconds: s.Seconds,
+		P50Seconds: s.Quantile(0.50),
+		P95Seconds: s.Quantile(0.95),
+		P99Seconds: s.Quantile(0.99),
 	}
 }
 
-// formatBound renders a bucket bound the way Prometheus le labels are
-// conventionally written: shortest exact decimal.
-func formatBound(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// writeHistogram renders one histogram series in the Prometheus text
+// format: cumulative _bucket lines (le-convention, ending at +Inf),
+// then _sum and _count. labelKey == "" renders an unlabelled series.
+// The family's HELP/TYPE header is the caller's.
+func writeHistogram(b *strings.Builder, family, labelKey, labelValue string, snap obs.HistSnapshot) {
+	label, sel := "", ""
+	if labelKey != "" {
+		label = fmt.Sprintf("%s=%q,", labelKey, labelValue)
+		sel = "{" + label[:len(label)-1] + "}"
+	}
+	var cum uint64
+	for i, n := range snap.Buckets {
+		cum += n
+		le := "+Inf"
+		if i < len(snap.Bounds) {
+			le = strconv.FormatFloat(snap.Bounds[i], 'g', -1, 64) // shortest exact decimal
+		}
+		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", family, label, le, cum)
+	}
+	fmt.Fprintf(b, "%s_sum%s %s\n", family, sel, formatFloat(snap.Seconds))
+	fmt.Fprintf(b, "%s_count%s %d\n", family, sel, snap.Count)
 }

@@ -4,91 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"sync"
 	"testing"
-	"time"
 )
-
-// TestLatencyHistObserveAndQuantile: observations land in the right
-// buckets and the interpolated percentiles bracket the true values at
-// bucket resolution.
-func TestLatencyHistObserveAndQuantile(t *testing.T) {
-	var h latencyHist
-	// 100 observations at ~2ms: all in the (0.001, 0.0025] bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(2 * time.Millisecond)
-	}
-	s := h.snapshot()
-	if s.count != 100 {
-		t.Fatalf("count = %d, want 100", s.count)
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		got := s.quantile(q)
-		if got <= 0.001 || got > 0.0025 {
-			t.Errorf("quantile(%v) = %v, want in (0.001, 0.0025]", q, got)
-		}
-	}
-
-	// A bimodal distribution: p50 in the low mode, p99 in the high one.
-	var h2 latencyHist
-	for i := 0; i < 90; i++ {
-		h2.Observe(2 * time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		h2.Observe(700 * time.Millisecond)
-	}
-	s2 := h2.snapshot()
-	if p50 := s2.quantile(0.50); p50 > 0.0025 {
-		t.Errorf("p50 = %v, want <= 0.0025", p50)
-	}
-	if p99 := s2.quantile(0.99); p99 <= 0.5 || p99 > 1 {
-		t.Errorf("p99 = %v, want in (0.5, 1]", p99)
-	}
-
-	// Beyond the last bound: quantile floors at the largest finite
-	// bound rather than inventing a value.
-	var h3 latencyHist
-	h3.Observe(5 * time.Minute)
-	if got := h3.snapshot().quantile(0.5); got != latencyBucketBounds[len(latencyBucketBounds)-1] {
-		t.Errorf("overflow quantile = %v, want %v", got, latencyBucketBounds[len(latencyBucketBounds)-1])
-	}
-
-	// Empty histogram.
-	var h4 latencyHist
-	if got := h4.snapshot().quantile(0.99); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
-	}
-}
-
-// TestLatencyHistConcurrent: Observe races cleanly and the snapshot's
-// +Inf total always equals the bucket sum (the invariant Prometheus
-// scrapers rely on).
-func TestLatencyHistConcurrent(t *testing.T) {
-	var h latencyHist
-	var wg sync.WaitGroup
-	const workers, per = 8, 500
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(time.Duration(w+1) * time.Millisecond)
-			}
-		}(w)
-	}
-	wg.Wait()
-	s := h.snapshot()
-	if s.count != workers*per {
-		t.Fatalf("count = %d, want %d", s.count, workers*per)
-	}
-	var sum uint64
-	for _, n := range s.buckets {
-		sum += n
-	}
-	if sum != s.count {
-		t.Fatalf("bucket sum %d != count %d", sum, s.count)
-	}
-}
 
 // TestStatsLatencyPercentiles: /v1/stats carries per-class percentile
 // summaries that reconcile with the query traffic.

@@ -138,15 +138,15 @@ type Server struct {
 	batchStatements atomic.Uint64
 	batchErrors     atomic.Uint64
 
-	// Per-class latency histograms (fixed buckets, see hist.go):
-	// materialized /v1/query statements, /v1/query/stream statements
-	// (whole-stream wall clock) and individual /v1/batch statements.
-	// Exposed as hummer_query_duration_seconds{class=...} on /metrics
-	// and as percentile summaries in /v1/stats, so client-side load
+	// Per-class latency histograms over latencyBounds: materialized
+	// /v1/query statements, /v1/query/stream statements (whole-stream
+	// wall clock) and individual /v1/batch statements. Exposed as
+	// hummer_query_duration_seconds{class=...} on /metrics and as
+	// percentile summaries in /v1/stats, so client-side load
 	// measurements have server-side numbers to cross-check against.
-	latQuery  latencyHist
-	latStream latencyHist
-	latBatch  latencyHist
+	latQuery  *obs.DurationHist
+	latStream *obs.DurationHist
+	latBatch  *obs.DurationHist
 
 	// logger is the structured request/containment logger; defaults to
 	// slog.Default() so a bare New keeps logging where log.Printf did.
@@ -163,7 +163,7 @@ type Server struct {
 	// name; the key set is the fixed instrumentation vocabulary, so
 	// cardinality is bounded.
 	phaseMu sync.Mutex
-	phases  map[string]*latencyHist
+	phases  map[string]*obs.DurationHist
 }
 
 // Option configures a Server.
@@ -255,12 +255,15 @@ func WithSlowQueryLog(d time.Duration) Option {
 // New builds a Server over db.
 func New(db *hummer.DB, opts ...Option) *Server {
 	s := &Server{
-		db:       db,
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
-		logger:   slog.Default(),
-		ringSize: DefaultTraceRing,
-		phases:   make(map[string]*latencyHist),
+		db:        db,
+		mux:       http.NewServeMux(),
+		start:     time.Now(),
+		logger:    slog.Default(),
+		ringSize:  DefaultTraceRing,
+		latQuery:  obs.NewDurationHist(latencyBounds),
+		latStream: obs.NewDurationHist(latencyBounds),
+		latBatch:  obs.NewDurationHist(latencyBounds),
+		phases:    make(map[string]*obs.DurationHist),
 	}
 	for _, o := range opts {
 		o(s)
@@ -495,7 +498,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stall := plan.StreamStallSnapshot()
 	phases := make(map[string]LatencySummary)
 	for name, h := range s.phaseSnapshots() {
-		phases[name] = h.summary()
+		phases[name] = latencySummary(h.Snapshot())
 	}
 	dbStats := s.db.Stats()
 	writeJSON(w, http.StatusOK, statsResponse{
@@ -522,9 +525,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		StreamStalls:          stall.Count,
 		StreamStallSeconds:    stall.Seconds,
 		Latency: map[string]LatencySummary{
-			"query":  s.latQuery.summary(),
-			"stream": s.latStream.summary(),
-			"batch":  s.latBatch.summary(),
+			"query":  latencySummary(s.latQuery.Snapshot()),
+			"stream": latencySummary(s.latStream.Snapshot()),
+			"batch":  latencySummary(s.latBatch.Snapshot()),
 		},
 		Phases:         phases,
 		CSESharedTotal: dbStats.CSEShared,
@@ -1183,8 +1186,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// one queryTimeout would fail that read and cancel the
 		// request context mid-batch — aborting statements that were
 		// well inside their own budgets.
-		ctx, release := s.slotContext(w, r)
-		_ = ctx
+		_, release := s.slotContext(w, r)
 		var req batchRequest
 		ok := s.decodeBody(w, r, &req)
 		release()
@@ -1280,6 +1282,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, formatFloat(v))
 	}
+	histFamily := func(name, help string) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	}
 
 	counter("hummer_requests_total", "HTTP requests received.", s.requests.Load())
 	counter("hummer_queries_total", "Statements executed via /v1/query, /v1/query/stream and /v1/batch.", s.queryCount.Load())
@@ -1306,21 +1311,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// query class: histogram_quantile() works on these, _sum over
 	// _count still gives the mean, and the buckets are what client-side
 	// load-test percentiles are cross-checked against.
-	fmt.Fprintf(&b, "# HELP hummer_query_duration_seconds Wall-clock statement execution time by query class (query = /v1/query, stream = whole /v1/query/stream, batch = individual /v1/batch statements).\n")
-	fmt.Fprintf(&b, "# TYPE hummer_query_duration_seconds histogram\n")
+	histFamily("hummer_query_duration_seconds", "Wall-clock statement execution time by query class (query = /v1/query, stream = whole /v1/query/stream, batch = individual /v1/batch statements).")
 	for _, c := range []struct {
 		name string
-		h    *latencyHist
-	}{{"query", &s.latQuery}, {"stream", &s.latStream}, {"batch", &s.latBatch}} {
-		snap := c.h.snapshot()
-		var cum uint64
-		for i, bound := range latencyBucketBounds {
-			cum += snap.buckets[i]
-			fmt.Fprintf(&b, "hummer_query_duration_seconds_bucket{class=%q,le=%q} %d\n", c.name, formatBound(bound), cum)
-		}
-		fmt.Fprintf(&b, "hummer_query_duration_seconds_bucket{class=%q,le=\"+Inf\"} %d\n", c.name, snap.count)
-		fmt.Fprintf(&b, "hummer_query_duration_seconds_sum{class=%q} %s\n", c.name, formatFloat(snap.seconds))
-		fmt.Fprintf(&b, "hummer_query_duration_seconds_count{class=%q} %d\n", c.name, snap.count)
+		h    *obs.DurationHist
+	}{{"query", s.latQuery}, {"stream", s.latStream}, {"batch", s.latBatch}} {
+		writeHistogram(&b, "hummer_query_duration_seconds", "class", c.name, c.h.Snapshot())
 	}
 
 	// Per-phase span durations from query tracing: one label value per
@@ -1333,18 +1329,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		fmt.Fprintf(&b, "# HELP hummer_phase_duration_seconds Pipeline phase durations from per-query span tracing.\n")
-		fmt.Fprintf(&b, "# TYPE hummer_phase_duration_seconds histogram\n")
+		histFamily("hummer_phase_duration_seconds", "Pipeline phase durations from per-query span tracing.")
 		for _, name := range names {
-			snap := phases[name].snapshot()
-			var cum uint64
-			for i, bound := range latencyBucketBounds {
-				cum += snap.buckets[i]
-				fmt.Fprintf(&b, "hummer_phase_duration_seconds_bucket{phase=%q,le=%q} %d\n", name, formatBound(bound), cum)
-			}
-			fmt.Fprintf(&b, "hummer_phase_duration_seconds_bucket{phase=%q,le=\"+Inf\"} %d\n", name, snap.count)
-			fmt.Fprintf(&b, "hummer_phase_duration_seconds_sum{phase=%q} %s\n", name, formatFloat(snap.seconds))
-			fmt.Fprintf(&b, "hummer_phase_duration_seconds_count{phase=%q} %d\n", name, snap.count)
+			writeHistogram(&b, "hummer_phase_duration_seconds", "phase", name, phases[name].Snapshot())
 		}
 	}
 
@@ -1353,19 +1340,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// bottleneck). Compare stall _sum to stream query _sum to see how
 	// much of stream latency is consumer-side.
 	counter("hummer_stream_produced_rows_total", "Rows pushed into stream chunk channels by producers.", plan.StreamProducedRows())
-	stall := plan.StreamStallSnapshot()
-	fmt.Fprintf(&b, "# HELP hummer_stream_consumer_stall_seconds Time stream producers spent blocked on a full chunk channel.\n")
-	fmt.Fprintf(&b, "# TYPE hummer_stream_consumer_stall_seconds histogram\n")
-	{
-		var cum uint64
-		for i, bound := range stall.Bounds {
-			cum += stall.Buckets[i]
-			fmt.Fprintf(&b, "hummer_stream_consumer_stall_seconds_bucket{le=%q} %d\n", formatBound(bound), cum)
-		}
-		fmt.Fprintf(&b, "hummer_stream_consumer_stall_seconds_bucket{le=\"+Inf\"} %d\n", stall.Count)
-		fmt.Fprintf(&b, "hummer_stream_consumer_stall_seconds_sum %s\n", formatFloat(stall.Seconds))
-		fmt.Fprintf(&b, "hummer_stream_consumer_stall_seconds_count %d\n", stall.Count)
-	}
+	histFamily("hummer_stream_consumer_stall_seconds", "Time stream producers spent blocked on a full chunk channel.")
+	writeHistogram(&b, "hummer_stream_consumer_stall_seconds", "", "", plan.StreamStallSnapshot())
 
 	// Go runtime health: cheap reads, scraped alongside everything else
 	// so a latency regression can be correlated with GC or goroutine

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"maps"
 	"net/http"
 	"strconv"
 	"time"
@@ -89,12 +90,12 @@ func (s *Server) observePhases(root *obs.SpanView) {
 // phaseHist returns the histogram for one phase name, creating it on
 // first use. Phase names come from the fixed vocabulary compiled into
 // the pipeline, so the map stays small.
-func (s *Server) phaseHist(name string) *latencyHist {
+func (s *Server) phaseHist(name string) *obs.DurationHist {
 	s.phaseMu.Lock()
 	defer s.phaseMu.Unlock()
 	h := s.phases[name]
 	if h == nil {
-		h = &latencyHist{}
+		h = obs.NewDurationHist(latencyBounds)
 		s.phases[name] = h
 	}
 	return h
@@ -102,14 +103,10 @@ func (s *Server) phaseHist(name string) *latencyHist {
 
 // phaseSnapshots copies the phase-histogram map under the lock so the
 // (slower) snapshotting and rendering run outside it.
-func (s *Server) phaseSnapshots() map[string]*latencyHist {
+func (s *Server) phaseSnapshots() map[string]*obs.DurationHist {
 	s.phaseMu.Lock()
 	defer s.phaseMu.Unlock()
-	out := make(map[string]*latencyHist, len(s.phases))
-	for name, h := range s.phases {
-		out[name] = h
-	}
-	return out
+	return maps.Clone(s.phases)
 }
 
 // logSlowQuery logs the full span tree of a query that crossed the
