@@ -37,12 +37,12 @@ GO ?= go
 # concurrent-DB.Query byte-identity test; plan and core carry the
 # ctx-threaded pipeline (cancellation joins worker goroutines, the
 # fused-result tier shares results across queries), so ctx-misuse
-# regressions surface here; engine carries the batched parallel
-# hash-join probe; obs holds the lock-free histograms that hummerd and
-# the stream producers both observe into while /metrics scrapes them.
+# regressions surface here; obs holds the lock-free histograms that
+# hummerd and the stream producers both observe into while /metrics
+# scrapes them.
 RACE_PKGS = . ./internal/parshard ./internal/dupdetect ./internal/dumas \
 	./internal/qcache ./internal/server ./internal/plan ./internal/core \
-	./internal/engine ./internal/obs
+	./internal/obs
 
 # Packages held to the coverage floor (matching + detection core).
 COVER_PKGS = ./internal/dumas ./internal/dupdetect ./internal/assign ./internal/strsim

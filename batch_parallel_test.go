@@ -8,13 +8,12 @@ import (
 
 const joinQuery = `SELECT Name, Age, Town FROM EE_Student JOIN CS_Students ON Name = FullName WHERE Age > 20 ORDER BY Name`
 
-// TestJoinQueryRowsByteIdentityAnyWorkers is the parallel-join
-// determinism property test at the public API: with a join in the
-// statement, the materialized Query and a drained QueryRows stream
-// yield byte-identical tables at every worker count — and the same
-// bytes across worker counts. Query goes through the CSE tier and the
-// batched parallel probe; QueryRows streams the raw operator tree;
-// neither may change a byte.
+// TestJoinQueryRowsByteIdentityAnyWorkers is the join determinism
+// property test at the public API: with a join in the statement, the
+// materialized Query and a drained QueryRows stream yield
+// byte-identical tables at every parallelism setting — and the same
+// bytes across settings. Query goes through the CSE tier;
+// QueryRows streams the raw operator tree; neither may change a byte.
 func TestJoinQueryRowsByteIdentityAnyWorkers(t *testing.T) {
 	var baseline string
 	for _, workers := range []int{1, 2, 7} {

@@ -17,8 +17,8 @@
 //	-xml alias=path:tag  register an XML source (repeatable)
 //	-cache N             artifact-cache capacity in entries (0 = default)
 //	-parallelism N       unified parallelism: concurrent batch
-//	                     statements, hash-join probe workers, and the
-//	                     default for -parallel / -match-parallel
+//	                     statements and the default for -parallel /
+//	                     -match-parallel
 //	                     (0 = GOMAXPROCS; 1 = fully sequential;
 //	                     results are byte-identical at every setting)
 //	-parallel N          duplicate-detection workers (0 = inherit
@@ -99,7 +99,7 @@ func run(args []string) error {
 	fs.Var(&xmls, "xml", "alias=path:recordTag of an XML source (repeatable)")
 	cacheCap := fs.Int("cache", 0, "artifact-cache capacity in entries (0 = default)")
 	parallelism := fs.Int("parallelism", 0,
-		"unified parallelism: concurrent batch statements, hash-join probe workers and the default for -parallel/-match-parallel (0 = GOMAXPROCS)")
+		"unified parallelism: concurrent batch statements and the default for -parallel/-match-parallel (0 = GOMAXPROCS)")
 	parallel := fs.Int("parallel", 0, "duplicate-detection workers (0 = inherit -parallelism)")
 	matchParallel := fs.Int("match-parallel", 0, "schema-matching workers (0 = inherit -parallelism)")
 	queryTimeout := fs.Duration("query-timeout", 60*time.Second,

@@ -622,14 +622,13 @@ func (db *DB) SetMatchConfig(cfg MatchConfig) {
 }
 
 // SetParallelism installs the unified parallelism knob: the number of
-// concurrently executing statements in a QueryBatch, the probe-side
-// worker count of plain-SQL hash joins, and the default Parallelism
-// for the match and detect phases when their configs leave it 0
-// (SetDetectConfig/SetMatchConfig and per-query overrides still win).
-// 0 means GOMAXPROCS; 1 forces fully sequential execution. Results
-// are byte-identical at every setting — parallelism only changes
-// wall-clock time. In-flight queries keep the value they started
-// with.
+// concurrently executing statements in a QueryBatch and the default
+// Parallelism for the match and detect phases when their configs leave
+// it 0 (SetDetectConfig/SetMatchConfig and per-query overrides still
+// win). Joins always probe sequentially. 0 means GOMAXPROCS; 1 forces
+// fully sequential execution. Results are byte-identical at every
+// setting — parallelism only changes wall-clock time. In-flight
+// queries keep the value they started with.
 func (db *DB) SetParallelism(n int) {
 	db.mu.Lock()
 	db.parallelism = n

@@ -16,7 +16,6 @@ import (
 	"hummer/internal/expr"
 	"hummer/internal/faultinject"
 	"hummer/internal/obs"
-	"hummer/internal/parshard"
 	"hummer/internal/relation"
 	"hummer/internal/schema"
 	"hummer/internal/value"
@@ -325,39 +324,22 @@ func (c *Cross) Next() (relation.Row, bool) {
 
 // HashJoin joins two inputs on equality of one column pair. Open
 // drains the right (build) input and constructs the hash table
-// presized to the build row count; the left (probe) side is pulled on
-// demand and never materialized as a whole. With parallelism above 1
-// the probe pulls bounded contiguous batches and shards them through
-// parshard, folding shard outputs in shard order — exactly the order
-// the sequential probe produces — so the output is byte-identical at
-// every worker count and memory stays bounded by one batch.
+// presized to the build row count; the left (probe) side is pulled one
+// row at a time and never materialized as a whole. Output order is
+// canonical: left scan order crossed with right insertion order.
 type HashJoin struct {
 	left, right       Operator
 	leftCol, rightCol string
 	out               *schema.Schema
 	table             map[uint64][]relation.Row
 	leftIdx, rightIdx int
+	ctx               context.Context // span destination only; nil is fine
 
-	workers int             // probe workers; <= 1 streams row-at-a-time
-	ctx     context.Context // span destination only; nil is fine
-
-	// Sequential probe state.
+	// Probe state.
 	ri      int
 	cur     relation.Row
 	matches []relation.Row
-
-	// Batched parallel probe state.
-	buf   []relation.Row // joined rows pending emission, canonical order
-	bi    int
-	batch []relation.Row // reusable probe-side input batch
-	done  bool
 }
-
-// probeChunk is the per-worker probe batch granularity: one parallel
-// probe round pulls up to workers*probeChunk left rows. Large enough
-// to amortize the shard dispatch, small enough that the pending
-// output buffer stays a rounding error next to the build table.
-const probeChunk = 1024
 
 // NewHashJoin builds an inner equi-join on leftCol = rightCol.
 func NewHashJoin(left, right Operator, leftCol, rightCol string) (*HashJoin, error) {
@@ -374,16 +356,15 @@ func NewHashJoin(left, right Operator, leftCol, rightCol string) (*HashJoin, err
 	}, nil
 }
 
-// SetParallelism sets the probe-side worker count: n <= 0 means
-// GOMAXPROCS, 1 forces the sequential row-at-a-time probe. The output
-// is byte-identical at every setting (the parshard canonical-order
-// contract); only wall-clock and batching granularity change.
-func (j *HashJoin) SetParallelism(n int) { j.workers = parshard.Workers(n) }
+// SetParallelism has no effect: the join always runs the sequential
+// streaming probe. It remains only for callers that still compile
+// against it; ROADMAP item 4b retires it.
+func (j *HashJoin) SetParallelism(int) {}
 
 // SetSpanContext supplies the context whose trace receives the
-// join.build / join.probe spans. Spans are its only use — operators do
-// not poll ctx themselves; their callers cancel at materialize/stream
-// strides, exactly as for every other operator.
+// join.build span. Spans are its only use — operators do not poll ctx
+// themselves; their callers cancel at materialize/stream strides,
+// exactly as for every other operator.
 func (j *HashJoin) SetSpanContext(ctx context.Context) { j.ctx = ctx }
 
 // spanCtx returns the span context installed by SetSpanContext, or a
@@ -430,16 +411,12 @@ func (j *HashJoin) Open() error {
 		j.table[h] = append(j.table[h], row)
 	}
 	sp.SetInt("rows", len(rows))
-	sp.SetInt("workers", j.workers)
 	sp.End()
 	return nil
 }
 
 // Next yields the next matched pair.
 func (j *HashJoin) Next() (relation.Row, bool) {
-	if j.workers > 1 {
-		return j.nextParallel()
-	}
 	for {
 		if j.ri < len(j.matches) {
 			m := j.matches[j.ri]
@@ -466,74 +443,6 @@ func (j *HashJoin) Next() (relation.Row, bool) {
 		j.cur = row
 		j.ri = 0
 	}
-}
-
-func (j *HashJoin) nextParallel() (relation.Row, bool) {
-	for j.bi >= len(j.buf) {
-		if j.done {
-			return nil, false
-		}
-		j.fillBatch()
-	}
-	out := j.buf[j.bi]
-	j.buf[j.bi] = nil // release the row while the buffer slice is reused
-	j.bi++
-	return out, true
-}
-
-// fillBatch pulls up to workers*probeChunk probe rows (the only
-// single-threaded pull on the left operator) and joins them across
-// contiguous shards. Each shard appends matches to its own output
-// slice; the fold walks shards in shard order, which is the probe
-// order, so the emitted sequence is identical to the sequential
-// probe's. A fault contained inside a shard re-panics out of Ranges
-// as a typed *fault.InternalError and is converted at the next
-// recovery boundary (materialize caller, stream producer, cache
-// leader or HTTP handler), the same containment path every parallel
-// phase uses.
-func (j *HashJoin) fillBatch() {
-	j.batch = j.batch[:0]
-	limit := j.workers * probeChunk
-	for len(j.batch) < limit {
-		row, ok := j.left.Next()
-		if !ok {
-			j.done = true
-			break
-		}
-		j.batch = append(j.batch, row)
-	}
-	j.buf = j.buf[:0]
-	j.bi = 0
-	if len(j.batch) == 0 {
-		return
-	}
-	_, sp := obs.StartSpan(j.spanCtx(), "join.probe")
-	outs := make([][]relation.Row, j.workers)
-	parshard.Ranges(j.workers, len(j.batch), func(shard, lo, hi int) {
-		var local []relation.Row
-		for _, row := range j.batch[lo:hi] {
-			key := row[j.leftIdx]
-			if key.IsNull() {
-				continue
-			}
-			for _, cand := range j.table[key.Hash()] {
-				if cand[j.rightIdx].Equal(key) {
-					out := make(relation.Row, 0, j.out.Len())
-					out = append(out, row...)
-					out = append(out, cand...)
-					local = append(local, out)
-				}
-			}
-		}
-		outs[shard] = local
-	})
-	for _, o := range outs {
-		j.buf = append(j.buf, o...)
-	}
-	sp.SetInt("rows", len(j.batch))
-	sp.SetInt("matches", len(j.buf))
-	sp.SetInt("workers", j.workers)
-	sp.End()
 }
 
 // --- Union (same-schema) ----------------------------------------------------

@@ -19,20 +19,13 @@ package plan
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"hummer/internal/engine"
-	"hummer/internal/obs"
 	"hummer/internal/qcache"
 	"hummer/internal/relation"
 	"hummer/internal/sql"
 )
-
-// errCSEStale marks a subtree materialization whose sources were
-// replaced mid-run: correct to serve, wrong to cache under the
-// pre-run key (mirrors errFusedStale).
-var errCSEStale = errors.New("plan: sources replaced during subtree materialization; intermediate not cacheable")
 
 // cseEligible reports whether stmt's source subtree does enough work
 // to be worth sharing. A bare single-table scan is excluded: the
@@ -65,26 +58,16 @@ func sourceAliases(stmt *sql.Stmt) []string {
 // predicate. The SELECT list, grouping, ordering and limits sit above
 // the subtree and deliberately do not participate — that is what lets
 // statements that differ only in presentation share the subtree.
-// Configuration enters the key only where it can change bytes, which
-// for this subtree is nowhere: join parallelism is excluded by the
-// parshard canonical-order contract (identical output at every worker
-// count). Like fusedKey, the sources' generations are captured before
-// their fingerprints so a replace racing the fingerprint read is
-// always detected by the caller's re-check.
-func (e *Executor) cseKey(stmt *sql.Stmt) (qcache.Key, []uint64, error) {
-	aliases := sourceAliases(stmt)
+// No configuration can change the subtree's bytes, so none enters the
+// key. aliases is sourceAliases(stmt); like fusedKey, cseKey also
+// returns their generations for doFresh.
+func (e *Executor) cseKey(stmt *sql.Stmt, aliases []string) (qcache.Key, []uint64, error) {
+	fps, gens, err := e.sourceVersions(aliases)
+	if err != nil {
+		return qcache.Key{}, nil, err
+	}
 	parts := make([]string, 0, len(aliases)+2)
 	parts = append(parts, "cse:v1")
-	gens := make([]uint64, len(aliases))
-	fps := make([]string, len(aliases))
-	for i, a := range aliases {
-		gens[i] = e.Repo.Generation(a)
-		fp, err := e.Repo.Fingerprint(a)
-		if err != nil {
-			return qcache.Key{}, nil, err
-		}
-		fps[i] = fp
-	}
 	for i := range stmt.Tables {
 		parts = append(parts, "scan:"+fps[i])
 	}
@@ -105,76 +88,35 @@ func (e *Executor) cseKey(stmt *sql.Stmt) (qcache.Key, []uint64, error) {
 // the plan scans the shared relation (callers must treat it as
 // read-only, exactly like a fused-tier hit). The streaming path
 // passes share=false: it keeps genuine row-at-a-time streaming off
-// the operator tree rather than materializing an intermediate.
-//
-// The plan.cse span covers the tier interaction; its outcome
-// attribute is miss (this statement materialized), hit/shared (served
-// from another statement's pass) or stale (computed correctly but not
-// cached — a source was replaced mid-run).
+// the operator tree rather than materializing an intermediate. The
+// plan.cse span records the tier outcome (see doFresh).
 func (e *Executor) buildSource(ctx context.Context, stmt *sql.Stmt, share bool) (engine.Operator, error) {
 	if !share || e.Cache == nil || !cseEligible(stmt) {
 		return e.buildSourceTree(ctx, stmt)
 	}
-	key, gens, err := e.cseKey(stmt)
+	aliases := sourceAliases(stmt)
+	key, gens, err := e.cseKey(stmt, aliases)
 	if err != nil {
 		// Fingerprinting fails on an unknown alias: fall through so
 		// the tree build reports the real error.
 		return e.buildSourceTree(ctx, stmt)
 	}
-	cctx, sp := obs.StartSpan(ctx, "plan.cse")
-	var computed, stale *relation.Relation
-	v, _, err := e.Cache.DoContext(cctx, key, func(ctx context.Context) (any, error) {
+	v, err := e.doFresh(ctx, "plan.cse", key, aliases, gens, func(ctx context.Context) (any, error) {
 		tree, err := e.buildSourceTree(ctx, stmt)
 		if err != nil {
 			return nil, err
 		}
-		rel, err := engine.MaterializeContext(ctx, "cse", tree)
-		if err != nil {
-			return nil, err
-		}
-		computed = rel
-		// The key was fingerprinted before the subtree read its
-		// sources: if a concurrent Replace landed in between, the
-		// intermediate holds newer data than the key names. Serve it
-		// (it is correct for the data the scan saw) but return the
-		// sentinel so it never enters the cache — errors are never
-		// cached and waiters re-elect.
-		aliases := sourceAliases(stmt)
-		for i, a := range aliases {
-			if e.Repo.Generation(a) != gens[i] {
-				stale = rel
-				return rel, errCSEStale
-			}
-		}
-		return rel, nil
+		return engine.MaterializeContext(ctx, "cse", tree)
 	})
-	switch {
-	case stale != nil:
-		sp.SetStr("outcome", "stale")
-	case computed != nil:
-		sp.SetStr("outcome", "miss")
-	case err == nil:
-		sp.SetStr("outcome", "hit")
-	}
-	sp.End()
-	if err != nil && !errors.Is(err, errCSEStale) {
+	if err != nil {
 		return nil, err
 	}
-	if rel, ok := v.(*relation.Relation); ok && rel != nil {
-		return engine.NewScan(rel), nil
-	}
-	if stale != nil {
-		return engine.NewScan(stale), nil
-	}
-	// Defensive: a stale sentinel without a value (not produced
-	// today) falls back to an unshared build.
-	return e.buildSourceTree(ctx, stmt)
+	return engine.NewScan(v.(*relation.Relation)), nil
 }
 
 // buildSourceTree builds the raw (unshared) source subtree: scans and
 // crosses over the FROM tables, hash joins, then the WHERE filter.
-// Hash joins take the executor's unified parallelism and the query
-// context for their build/probe spans.
+// Hash joins take the query context for their build spans.
 func (e *Executor) buildSourceTree(ctx context.Context, stmt *sql.Stmt) (engine.Operator, error) {
 	var op engine.Operator
 	for i, t := range stmt.Tables {
@@ -205,7 +147,6 @@ func (e *Executor) buildSourceTree(ctx context.Context, stmt *sql.Stmt) (engine.
 		if err != nil {
 			return nil, err
 		}
-		join.SetParallelism(e.Parallel)
 		join.SetSpanContext(ctx)
 		op = join
 	}

@@ -1,11 +1,12 @@
 package plan
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
+	"hummer/internal/metadata"
 	"hummer/internal/qcache"
+	"hummer/internal/relation"
 )
 
 func cseStats(e *Executor) qcache.KindStats {
@@ -163,26 +164,62 @@ func TestCSEConcurrentSingleflight(t *testing.T) {
 	}
 }
 
-// TestCSEParallelJoinByteIdentity: the executor-level knob — the same
-// join statement at worker counts 1, 2 and 7 yields byte-identical
-// tables, through both the CSE tier and fresh materializations.
-func TestCSEParallelJoinByteIdentity(t *testing.T) {
-	const q = "SELECT oid, city FROM orders JOIN custs ON cust = cname ORDER BY oid"
-	var want string
-	for _, workers := range []int{1, 2, 7} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := testExecutor(t)
-			e.Cache = qcache.New(0)
-			e.Parallel = workers
-			res, err := e.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == "" {
-				want = res.Rel.String()
-			} else if res.Rel.String() != want {
-				t.Errorf("workers=%d output differs:\n%s\nvs\n%s", workers, res.Rel, want)
-			}
-		})
+// TestCSETierRefusesStaleGenerations is the CSE twin of
+// TestFusedTierRefusesStaleGenerations: when the join's build side is
+// replaced between the subtree key's fingerprinting and the subtree's
+// scan, the materialized intermediate is served but never cached, so a
+// later rollback to the fingerprinted data cannot hit a poisoned entry.
+func TestCSETierRefusesStaleGenerations(t *testing.T) {
+	const q = "SELECT oid, city FROM orders JOIN R ON cust = cname WHERE qty > 0 ORDER BY oid"
+	mk := func(city string) *relation.Relation {
+		return relation.NewBuilder("R", "cname", "city").
+			AddText("alice", city).
+			AddText("bob", "Tokyo").
+			Build()
+	}
+	orders := relation.NewBuilder("orders", "oid", "cust", "qty").
+		AddText("1", "alice", "2").
+		AddText("2", "bob", "1").
+		Build()
+	repo := metadata.NewRepository()
+	if err := repo.RegisterRelation("orders", orders); err != nil {
+		t.Fatal(err)
+	}
+	trojan := &trojanSource{alias: "R", repo: repo, serve: mk("Berlin"), replace: mk("Paris")}
+	if err := repo.Register(trojan); err != nil {
+		t.Fatal(err)
+	}
+	e := &Executor{Repo: repo, Cache: qcache.New(8)}
+	firstCity := func() string {
+		t.Helper()
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rel.Value(0, "city").Text()
+	}
+
+	// The racy query: cseKey fingerprints R through the trojan (which
+	// installs the Paris data mid-flight), then the join scans it.
+	if got := firstCity(); got != "Paris" {
+		t.Fatalf("racy query city = %q, want Paris (the replaced data)", got)
+	}
+	// Roll R back to data fingerprint-identical to what the key named.
+	if err := repo.Replace(metadata.NewRelationSource("R", mk("Berlin"))); err != nil {
+		t.Fatal(err)
+	}
+	if got := firstCity(); got != "Berlin" {
+		t.Fatalf("post-rollback city = %q, want Berlin — the CSE tier served a stale-keyed intermediate", got)
+	}
+	if ks := cseStats(e); ks.Hits != 0 {
+		t.Errorf("cse hits = %d, want 0 (the racy intermediate must not be cached)", ks.Hits)
+	}
+
+	// From here on the tier behaves normally: the identical statement hits.
+	if got := firstCity(); got != "Berlin" {
+		t.Fatalf("steady-state city = %q, want Berlin", got)
+	}
+	if ks := cseStats(e); ks.Hits != 1 {
+		t.Errorf("cse hits after steady-state repeat = %d, want 1: %+v", ks.Hits, ks)
 	}
 }

@@ -114,9 +114,9 @@ type Executor struct {
 	// artifacts across queries.
 	Cache *qcache.Cache
 	// Parallel is the unified parallelism knob (the public API's
-	// Config.Parallelism): the hash-join probe worker count and the
-	// default for the match/detect phases when their configs leave
-	// Parallelism unset. 0 means GOMAXPROCS; 1 forces sequential.
+	// Config.Parallelism): the default for the match/detect phases
+	// when their configs leave Parallelism unset. 0 means GOMAXPROCS;
+	// 1 forces sequential.
 	// Results are byte-identical at every setting — parallelism is a
 	// wall-clock knob only.
 	Parallel int
@@ -287,64 +287,26 @@ func (e *Executor) executeFusion(ctx context.Context, stmt *sql.Stmt, raw string
 			// capture is race-free. The leader keeps the intermediates —
 			// a zero-option cold run exposes Pipeline as it always has —
 			// while only the slim entry is published to the cache and to
-			// piggybacking waiters.
-			//
-			// The cache.fused span covers the whole tier interaction:
-			// on a miss the pipeline spans nest under it (the compute
-			// runs in this goroutine); on a hit or shared wait only the
-			// lookup/wait time shows, with the outcome attribute naming
-			// which it was.
-			cctx, csp := obs.StartSpan(ctx, "cache.fused")
+			// piggybacking waiters. On a miss the pipeline spans nest
+			// under the cache.fused span.
 			var full *QueryResult
-			v, _, err := e.Cache.DoContext(cctx, key, func(ctx context.Context) (any, error) {
+			v, err := e.doFresh(ctx, "cache.fused", key, aliases, gens, func(ctx context.Context) (any, error) {
 				res, err := e.runFusion(ctx, p, stmt, aliases, opts)
 				if err != nil {
 					return nil, err
 				}
 				full = res
-				slim := &QueryResult{Rel: res.Rel, Lineage: res.Lineage, Summary: res.Summary}
-				// The key was fingerprinted before the pipeline loaded
-				// the sources. If a concurrent Replace landed in
-				// between, the pipeline computed over newer data than
-				// the key names — caching that would serve new-data
-				// rows under old fingerprints after a rollback. Return
-				// the result *with* the sentinel: the entry is dropped
-				// (errors are never cached) while the computation
-				// still reaches the leader and every waiter.
-				for i, a := range aliases {
-					if e.Repo.Generation(a) != gens[i] {
-						return slim, errFusedStale
-					}
-				}
-				return slim, nil
+				return &QueryResult{Rel: res.Rel, Lineage: res.Lineage, Summary: res.Summary}, nil
 			})
-			switch {
-			case full != nil && errors.Is(err, errFusedStale):
-				csp.SetStr("outcome", "stale")
-			case full != nil:
-				csp.SetStr("outcome", "miss")
-			case err == nil:
-				csp.SetStr("outcome", "hit")
-			}
-			csp.End()
-			if err == nil || errors.Is(err, errFusedStale) {
-				// Cached results are shared across queries: callers
-				// must treat Rel and Lineage as read-only. On the
-				// stale-race sentinel the result is correct for the
-				// data the pipeline saw — serve it; it just never
-				// entered the cache.
-				if full != nil {
-					return trimResult(full, opt), nil
-				}
-				if qr, ok := v.(*QueryResult); ok && qr != nil {
-					return trimResult(qr, opt), nil
-				}
-			}
-			if err != nil && !errors.Is(err, errFusedStale) {
+			if err != nil {
 				return nil, err
 			}
-			// Defensive: a stale sentinel without a result (not
-			// produced today) falls through to an uncached run.
+			if full != nil {
+				return trimResult(full, opt), nil
+			}
+			// Cached results are shared across queries: callers must
+			// treat Rel and Lineage as read-only.
+			return trimResult(v.(*QueryResult), opt), nil
 		}
 	}
 	res, err := e.runFusion(ctx, p, stmt, aliases, opts)
@@ -373,9 +335,67 @@ func trimResult(res *QueryResult, opt ExecOptions) *QueryResult {
 	return &out
 }
 
-// errFusedStale marks a fused computation whose sources were replaced
-// mid-run: correct to serve, wrong to cache under the pre-run key.
-var errFusedStale = errors.New("plan: sources replaced during fusion; result not cacheable")
+// errStale marks a computation whose sources were replaced while it
+// ran: correct to serve, wrong to cache under the key fingerprinted
+// before it.
+var errStale = errors.New("plan: sources replaced during computation; result not cacheable")
+
+// sourceVersions returns each alias's content fingerprint and its
+// generation, the generation captured *before* the fingerprint: the
+// re-check in doFresh then is conservative — a replace racing the
+// fingerprint read is always detected. It fails on an unknown alias.
+func (e *Executor) sourceVersions(aliases []string) (fps []string, gens []uint64, err error) {
+	fps = make([]string, len(aliases))
+	gens = make([]uint64, len(aliases))
+	for i, a := range aliases {
+		gens[i] = e.Repo.Generation(a)
+		if fps[i], err = e.Repo.Fingerprint(a); err != nil {
+			return nil, nil, err
+		}
+	}
+	return fps, gens, nil
+}
+
+// doFresh resolves key through the cache, running compute on a miss,
+// and is the one freshness check of the fused and CSE tiers. key names
+// the aliases' content at generations gens (from sourceVersions). If a
+// generation moved by the time compute finished, compute read newer
+// data than the key names, and caching it would serve new-data rows
+// under the old fingerprints after a rollback. The value then travels
+// with errStale: errors are never cached, yet the cache still hands
+// the value to the leader and every waiter, and doFresh serves it — it
+// is correct for the data compute saw. A span named span records the
+// outcome: miss (this call computed), hit (served from another call's
+// computation) or stale.
+func (e *Executor) doFresh(ctx context.Context, span string, key qcache.Key, aliases []string, gens []uint64,
+	compute func(context.Context) (any, error)) (any, error) {
+	cctx, sp := obs.StartSpan(ctx, span)
+	defer sp.End()
+	v, hit, err := e.Cache.DoContext(cctx, key, func(ctx context.Context) (any, error) {
+		v, err := compute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		for i, a := range aliases {
+			if e.Repo.Generation(a) != gens[i] {
+				return v, errStale
+			}
+		}
+		return v, nil
+	})
+	switch {
+	case errors.Is(err, errStale):
+		sp.SetStr("outcome", "stale")
+		return v, nil
+	case err != nil:
+		return nil, err
+	case hit:
+		sp.SetStr("outcome", "hit")
+	default:
+		sp.SetStr("outcome", "miss")
+	}
+	return v, nil
+}
 
 // runFusion executes the pipeline and post-processing for one fusion
 // statement — the compute function of the fused cache tier.
@@ -402,20 +422,11 @@ func (e *Executor) runFusion(ctx context.Context, p *core.Pipeline, stmt *sql.St
 // and the configuration fingerprint — every match/detect knob plus
 // the resolution-registry version, so re-registering a function stops
 // addressing stale results just like replacing a source does. It also
-// returns each source's generation, captured *before* its
-// fingerprint: the caller re-checks generations after the pipeline
-// ran, and capturing first makes the check conservative (a replace
-// racing the fingerprint read is always detected).
+// returns the sources' generations for doFresh.
 func (e *Executor) fusedKey(raw string, aliases []string, p *core.Pipeline) (qcache.Key, []uint64, error) {
-	srcFPs := make([]string, len(aliases))
-	gens := make([]uint64, len(aliases))
-	for i, a := range aliases {
-		gens[i] = e.Repo.Generation(a)
-		fp, err := e.Repo.Fingerprint(a)
-		if err != nil {
-			return qcache.Key{}, nil, err
-		}
-		srcFPs[i] = fp
+	fps, gens, err := e.sourceVersions(aliases)
+	if err != nil {
+		return qcache.Key{}, nil, err
 	}
 	var regVersion uint64
 	if p.Registry != nil {
@@ -423,7 +434,7 @@ func (e *Executor) fusedKey(raw string, aliases []string, p *core.Pipeline) (qca
 	}
 	cfgFP := fmt.Sprintf("%s|%s|reg:%d",
 		qcache.FingerprintConfig(e.Match), qcache.FingerprintConfig(e.Detect), regVersion)
-	return qcache.FusedKey(raw, srcFPs, cfgFP), gens, nil
+	return qcache.FusedKey(raw, fps, cfgFP), gens, nil
 }
 
 // pipelineHooked reports whether any wizard hook is installed — hooks

@@ -219,7 +219,7 @@ func (r *Rows) run(ctx context.Context, e *Executor, stmt *sql.Stmt, q string, o
 	// share=false: the streaming path trades subtree sharing for
 	// genuine row-at-a-time streaming — materializing a CSE
 	// intermediate here would move time-to-first-row back to
-	// time-to-last-row. Joins still probe in parallel.
+	// time-to-last-row.
 	op, err := e.buildPlain(ctx, stmt, false)
 	if err != nil {
 		return err
