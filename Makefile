@@ -28,7 +28,9 @@
 #   make profile — start hummerd with -debug-addr, drive it with the
 #                  loadgen, and capture a 10s CPU profile to
 #                  profiles/cpu.pprof.
-#   make fmt     — rewrite files with gofmt.
+#   make profile-cold — CPU-profile the cold FUSE BY path in-process
+#                  (no server, no cache) to profiles/cold.pprof.
+#   make fmt    — rewrite files with gofmt.
 
 GO ?= go
 
@@ -48,7 +50,7 @@ RACE_PKGS = . ./internal/parshard ./internal/dupdetect ./internal/dumas \
 COVER_PKGS = ./internal/dumas ./internal/dupdetect ./internal/assign ./internal/strsim
 COVER_FLOOR = 70
 
-.PHONY: check fmtcheck fmt vet lint build test race chaos cover bench bench-check bench-agree serve loadtest profile
+.PHONY: check fmtcheck fmt vet lint build test race chaos cover bench bench-check bench-agree serve loadtest profile profile-cold
 
 check: fmtcheck vet lint build test race chaos cover loadtest bench-check
 
@@ -157,6 +159,14 @@ profile:
 		|| { echo "profile capture failed (is something else on 18080/18081?)"; kill $$gen 2>/dev/null; exit 1; }; \
 	wait $$gen; \
 	echo "wrote profiles/cpu.pprof"
+
+# CPU-profile the cold FUSE BY path without a server: 200 uncached
+# runs of BenchmarkQueryEndToEnd/cold (2 × 500 rows, the statement the
+# benchmark's cold_fuse workload issues). Inspect with:
+# go tool pprof profiles/cold.pprof
+profile-cold:
+	@mkdir -p profiles
+	$(GO) test -run '^$$' -bench 'QueryEndToEnd/cold' -benchtime 200x -cpuprofile profiles/cold.pprof .
 
 # Production-traffic smoke: the loadgen harness drives its fixed-seed
 # closed-loop mix (and a deliberate overload burst) at an in-process

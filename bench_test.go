@@ -10,9 +10,11 @@
 //	BenchmarkDupDetectNoFilter  — ablation D4 (filter off)
 //	BenchmarkResolution*        — conflict-resolution functions
 //	BenchmarkFuseByScaling      — fusion vs. plain outer union
-//	BenchmarkQueryEndToEnd      — public API round trip
+//	BenchmarkQueryEndToEnd      — public API round trip, cold (cache
+//	                              off) and warm (fused-tier hits)
 //
 // Run: go test -run '^$' -bench=. -benchmem
+// Profile the cold FUSE BY path without a server: make profile-cold
 package hummer
 
 import (
@@ -266,23 +268,37 @@ func BenchmarkFuseByScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryEndToEnd measures the public API round trip: parse,
-// plan, pipeline, post-process.
+// BenchmarkQueryEndToEnd measures the public API round trip of a
+// FUSE BY statement. cold runs with the cache off over 2 × 500 rows,
+// so every iteration parses, plans, runs the whole pipeline and
+// post-processes (`make profile-cold` profiles it); warm keeps the
+// cache on, so every iteration after the first is a fused-tier hit.
 func BenchmarkQueryEndToEnd(b *testing.B) {
-	db := New()
-	l, r := benchSources(200)
-	if err := db.RegisterTable("s1", l); err != nil {
-		b.Fatal(err)
-	}
-	if err := db.RegisterTable("s2", r); err != nil {
-		b.Fatal(err)
-	}
-	q := `SELECT Name, RESOLVE(Age, max) FUSE FROM s1, s2 FUSE BY (Name) ORDER BY Name`
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
-			b.Fatal(err)
-		}
+	const q = `SELECT Name, RESOLVE(Age, max) FUSE FROM s1, s2 FUSE BY (Name) ORDER BY Name`
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		rows int
+	}{
+		{"cold", []Option{WithoutCache()}, 1000},
+		{"warm", nil, 200},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			db := New(tc.opts...)
+			l, r := benchSources(tc.rows)
+			if err := db.RegisterTable("s1", l); err != nil {
+				b.Fatal(err)
+			}
+			if err := db.RegisterTable("s2", r); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"hummer/internal/obs"
 	"hummer/internal/relation"
 )
 
@@ -93,6 +95,49 @@ func TestDetectContextCompletesIdentical(t *testing.T) {
 		}
 		if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
 			t.Fatalf("cfg %+v: DetectContext differs from Detect", cfg)
+		}
+	}
+}
+
+// TestDetectScoreSpan: the detect.score span reports the candidate and
+// compared counts of Stats and the number of scoring workers that
+// actually ran, which drops to 1 when every candidate fits in one
+// chunk.
+func TestDetectScoreSpan(t *testing.T) {
+	large := datagenDirty(42, 60)
+	if n := large.Len(); n*(n-1)/2 <= pairChunkSize {
+		t.Fatalf("%d rows fit in one chunk", n)
+	}
+	for _, tc := range []struct {
+		label     string
+		rel       *relation.Relation
+		par, want int
+	}{
+		{"one chunk", dirtyPeople(), 8, 1},
+		{"chunked", large, 3, 3},
+	} {
+		tr := obs.NewTrace("t", "test")
+		res, err := DetectContext(obs.ContextWithTrace(context.Background(), tr), tc.rel, Config{Parallelism: tc.par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		var score *obs.SpanView
+		for _, c := range tr.View().Root.Children {
+			if c.Name == "detect.score" {
+				score = c
+			}
+		}
+		if score == nil {
+			t.Fatalf("%s: no detect.score span", tc.label)
+		}
+		want := map[string]any{
+			"workers":    int64(tc.want),
+			"candidates": int64(res.Stats.CandidatePairs),
+			"compared":   int64(res.Stats.Compared),
+		}
+		if !reflect.DeepEqual(score.Attrs, want) {
+			t.Errorf("%s: detect.score attrs %v, want %v", tc.label, score.Attrs, want)
 		}
 	}
 }

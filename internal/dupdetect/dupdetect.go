@@ -9,7 +9,11 @@
 // identifying power (a soft version of IDF), and (iv) lets
 // contradictory data reduce similarity while missing data has no
 // influence. A cheap upper bound filters pairs before the expensive
-// measure runs. Pairs above a threshold are duplicates; the transitive
+// measure runs, and is itself two-staged: an O(1) rune-presence-mask
+// bound rejects most attribute pairs before the O(l) rune-histogram
+// bound runs. The mask bound is never below the histogram bound, so
+// the filter's result is bit-identical to running the histogram bound
+// alone. Pairs above a threshold are duplicates; the transitive
 // closure over duplicate pairs forms clusters, and an objectID column
 // identifying each cluster is appended to the relation.
 //
@@ -46,6 +50,7 @@ package dupdetect
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -224,9 +229,10 @@ func DetectContext(ctx context.Context, rel *relation.Relation, cfg Config) (*Re
 
 	_, ssp := obs.StartSpan(ctx, "detect.score")
 	defer ssp.End()
-	ssp.SetInt("workers", parshard.Workers(cfg.Parallelism))
+	workers := scoreWorkers(cfg.Parallelism, rel.Len())
+	ssp.SetInt("workers", workers)
 	gen, blocks := candidateGen(ctx, m, cfg)
-	out, err := scorePairs(ctx, m, cfg, gen)
+	out, err := scorePairs(ctx, m, cfg, workers, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -363,9 +369,10 @@ func ScoreAttributes(rel *relation.Relation) []attrScore {
 
 // measure holds the precomputed per-cell state for pairwise
 // comparison. Everything derivable from a single cell — normalized
-// text, its rune form, sorted rune counts, numeric image, identifying
-// power — is computed exactly once here, so the per-pair hot path
-// performs no text normalization and no allocation.
+// text, its rune form, rune-presence mask, sorted rune counts, numeric
+// image, identifying power — is computed exactly once here, so the
+// per-pair hot path performs no text normalization and no allocation.
+// The masks and the counts back the two stages of upperBound.
 type measure struct {
 	rel  *relation.Relation
 	cols []int
@@ -377,6 +384,10 @@ type measure struct {
 	// runes[i][k] is the rune form of texts[i][k], so the edit-
 	// distance kernel never re-decodes UTF-8.
 	runes [][][]rune
+	// masks[i*len(cols)+k] is the rune-presence mask of texts[i][k]
+	// (see runeMask), one flat row-major array: the O(1) first stage
+	// of upperBound.
+	masks []uint64
 	// counts[i][k] is the sorted rune histogram of texts[i][k],
 	// backing the multiset upper bound on edit similarity with a
 	// two-pointer merge instead of a map walk.
@@ -476,6 +487,7 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 	m := &measure{rel: rel, cols: cols, cfg: cfg}
 	m.texts = make([][]string, n)
 	m.runes = make([][][]rune, n)
+	m.masks = make([]uint64, n*len(cols))
 	m.counts = make([][]runeCounts, n)
 	m.weights = make([][]float64, n)
 	m.nums = make([][]float64, n)
@@ -520,6 +532,7 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 				txt := strings.ToLower(v.Text())
 				m.texts[i][k] = txt
 				m.runes[i][k] = []rune(txt)
+				m.masks[i*len(cols)+k] = runeMask(m.runes[i][k])
 				m.counts[i][k], sortBuf = countRunes(m.runes[i][k], sortBuf)
 				agg.corpora[k].AddText(txt)
 				agg.distinct[k][v.Hash()] = true
@@ -716,6 +729,14 @@ func (m *measure) numericSim(a, b, k int) float64 {
 // below matchCutoff can at best contradict, which only lowers the
 // total, so the bound assumes matched attributes score their bound and
 // contradicting attributes do not exist.
+//
+// The intersection is bounded in two stages. First maskCommon, O(1)
+// from the rune-presence masks: if even it over max falls below
+// matchCutoff, the histogram bound would too (maskCommon ≥ common),
+// and the attribute is skipped exactly as a histogram-rejected one
+// would be — its evidence is already counted. Only attributes that
+// pass pay for editSimBound's O(l) histogram merge, so the result is
+// bit-identical to running editSimBound for every attribute.
 func (m *measure) upperBound(a, b int) float64 {
 	var num, den, evidence float64
 	any := false
@@ -729,8 +750,12 @@ func (m *measure) upperBound(a, b int) float64 {
 		if m.isNum[a][k] && m.isNum[b][k] {
 			bound = m.numericSim(a, b, k)
 		} else {
-			bound = editSimBound(len(m.runes[a][k]), len(m.runes[b][k]),
-				m.counts[a][k], m.counts[b][k])
+			la, lb := len(m.runes[a][k]), len(m.runes[b][k])
+			ma, mb := m.masks[a*len(m.cols)+k], m.masks[b*len(m.cols)+k]
+			if l := max(la, lb); l > 0 && float64(maskCommon(la, lb, ma, mb))/float64(l) < matchCutoff {
+				continue
+			}
+			bound = editSimBound(la, lb, m.counts[a][k], m.counts[b][k])
 		}
 		if bound >= matchCutoff {
 			w := (m.weights[a][k] + m.weights[b][k]) / 2
@@ -746,6 +771,25 @@ func (m *measure) upperBound(a, b int) float64 {
 	// evidence factor uses the full compared weight, which is ≥ the
 	// true similarity's factor input, keeping the bound sound.
 	return num / den * m.evidenceFactor(evidence)
+}
+
+// runeMask is the rune-presence mask of rs: bit r&63 is set for every
+// rune r.
+func runeMask(rs []rune) uint64 {
+	var m uint64
+	for _, r := range rs {
+		m |= 1 << (r & 63)
+	}
+	return m
+}
+
+// maskCommon bounds the rune-multiset intersection of two strings of
+// rune lengths la and lb from their presence masks ma and mb. Every
+// bucket set in one mask and clear in the other hides at least one
+// rune without a partner on the other side, so the result is ≥ the
+// histogram's common; bucket collisions only loosen it.
+func maskCommon(la, lb int, ma, mb uint64) int {
+	return min(la-bits.OnesCount64(ma&^mb), lb-bits.OnesCount64(mb&^ma))
 }
 
 // editSimBound returns an upper bound of the edit similarity of two

@@ -1,0 +1,283 @@
+package dupdetect
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"hummer/internal/datagen"
+	"hummer/internal/relation"
+	"hummer/internal/strsim"
+	"hummer/internal/value"
+)
+
+// refUpperBound is the reference filter bound: the histogram bound
+// editSimBound runs for every non-numeric attribute, with no cheaper
+// check in front of it. upperBound must return the same bits for
+// every pair.
+func refUpperBound(m *measure, a, b int) float64 {
+	var num, den, evidence float64
+	any := false
+	for k := range m.cols {
+		if m.null[a][k] || m.null[b][k] {
+			continue
+		}
+		any = true
+		evidence += (m.weights[a][k] + m.weights[b][k]) / 2
+		var bound float64
+		if m.isNum[a][k] && m.isNum[b][k] {
+			bound = m.numericSim(a, b, k)
+		} else {
+			bound = editSimBound(len(m.runes[a][k]), len(m.runes[b][k]),
+				m.counts[a][k], m.counts[b][k])
+		}
+		if bound >= matchCutoff {
+			w := (m.weights[a][k] + m.weights[b][k]) / 2
+			num += w * bound
+			den += w
+		}
+	}
+	if !any || den == 0 {
+		return 0
+	}
+	return num / den * m.evidenceFactor(evidence)
+}
+
+// refDetect is the reference detection: a sequential measure, the
+// candidates consumed in one plain loop (an explicit double loop for
+// the exhaustive strategy, the strategy's own generator otherwise),
+// each filtered by refUpperBound and scored by similarity, then the
+// transitive closure.
+func refDetect(t *testing.T, rel *relation.Relation, cfg Config) *Result {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	attrs := cfg.Attributes
+	if len(attrs) == 0 {
+		attrs = SelectAttributes(rel)
+	}
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		cols[i] = rel.Schema().MustLookup(a)
+	}
+	seq := cfg
+	seq.Parallelism = 1
+	m, err := newMeasure(context.Background(), rel, cols, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{SelectedAttributes: attrs}
+	var sc strsim.Scratch
+	score := func(a, b int) bool {
+		res.Stats.CandidatePairs++
+		if !cfg.DisableFilter && refUpperBound(m, a, b) < cfg.Threshold {
+			res.Stats.FilteredOut++
+			return true
+		}
+		res.Stats.Compared++
+		switch sim := m.similarity(a, b, &sc); {
+		case sim >= cfg.Threshold:
+			res.Duplicates = append(res.Duplicates, ScoredPair{A: a, B: b, Sim: sim})
+		case sim >= cfg.Threshold*0.9:
+			res.Borderline = append(res.Borderline, ScoredPair{A: a, B: b, Sim: sim})
+		}
+		return true
+	}
+	if cfg.Window == 0 && cfg.Blocking == 0 && cfg.QGrams == 0 {
+		for a := 0; a < rel.Len(); a++ {
+			for b := a + 1; b < rel.Len(); b++ {
+				score(a, b)
+			}
+		}
+	} else {
+		gen, st := candidateGen(context.Background(), m, seq)
+		gen(score)
+		res.Stats.SkippedBlocks, res.Stats.SkippedBlockRows = st.skipped, st.skippedRows
+	}
+	dsu := newUnionFind(rel.Len())
+	for _, p := range res.Duplicates {
+		dsu.union(p.A, p.B)
+	}
+	res.ObjectIDs, res.Clusters = dsu.clusters()
+	return res
+}
+
+// requireSameResult compares two detection results field by field, the
+// scored pairs by row ids and the exact bits of every Sim.
+func requireSameResult(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if want.Stats != got.Stats {
+		t.Fatalf("%s: stats %+v, oracle %+v", label, got.Stats, want.Stats)
+	}
+	for _, f := range []struct {
+		name      string
+		want, got []ScoredPair
+	}{{"duplicate", want.Duplicates, got.Duplicates}, {"borderline", want.Borderline, got.Borderline}} {
+		if len(f.want) != len(f.got) {
+			t.Fatalf("%s: %d %s pairs, oracle %d", label, len(f.got), f.name, len(f.want))
+		}
+		for i, w := range f.want {
+			g := f.got[i]
+			if w.A != g.A || w.B != g.B || math.Float64bits(w.Sim) != math.Float64bits(g.Sim) {
+				t.Fatalf("%s: %s pair %d is %+v, oracle %+v", label, f.name, i, g, w)
+			}
+		}
+	}
+	if !reflect.DeepEqual(want.ObjectIDs, got.ObjectIDs) || !reflect.DeepEqual(want.Clusters, got.Clusters) {
+		t.Fatalf("%s: clustering differs\ngot  %v\nwant %v", label, got.ObjectIDs, want.ObjectIDs)
+	}
+	if !reflect.DeepEqual(want.SelectedAttributes, got.SelectedAttributes) {
+		t.Fatalf("%s: attributes %v, oracle %v", label, got.SelectedAttributes, want.SelectedAttributes)
+	}
+}
+
+// datagenDirty is the detection workload's shape of input: every
+// seeded person observed three times with independent typos and NULLs.
+func datagenDirty(seed int64, entities int) *relation.Relation {
+	ents := datagen.Persons.Generate(seed, entities)
+	return datagen.DirtyTable(datagen.Persons, ents, 3, datagen.SourceSpec{
+		Alias: "dirty", TypoRate: 0.15, NullRate: 0.1, Seed: seed + 3,
+	}).Rel
+}
+
+// TestDetectMatchesOracle: Detect equals the brute-force reference —
+// Stats, pair order, Sim bits and clusters — at every worker count,
+// seed and candidate strategy.
+func TestDetectMatchesOracle(t *testing.T) {
+	strategies := []Config{
+		{},
+		{Threshold: 0.6},
+		{Window: 4},
+		{Blocking: 3},
+		{QGrams: 3},
+	}
+	for _, seed := range []int64{42, 123, 456} {
+		rel := datagenDirty(seed, 60)
+		if n := rel.Len(); n < measureShardMinRows || n*(n-1)/2 <= 3*pairChunkSize {
+			t.Fatalf("seed %d: %d rows engage neither sharding nor chunking", seed, n)
+		}
+		for _, base := range strategies {
+			want := refDetect(t, rel, base)
+			if want.Stats.Compared == 0 || len(want.Duplicates) == 0 {
+				t.Fatalf("seed %d %+v: oracle compared %d pairs, found %d duplicates",
+					seed, base, want.Stats.Compared, len(want.Duplicates))
+			}
+			for _, par := range []int{1, 2, 3, 8} {
+				cfg := base
+				cfg.Parallelism = par
+				got, err := Detect(rel, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("seed %d %+v", seed, cfg), want, got)
+			}
+		}
+	}
+}
+
+// edgeRelation holds the cells datagen never produces: non-ASCII and
+// combining-mark text, values with more than 64 distinct runes, empty
+// strings beside NULLs, all-NULL rows, and one column mixing numbers
+// with strings. Its rows repeat, with a per-copy suffix on Note, until
+// the sharded and chunked paths engage.
+func edgeRelation() *relation.Relation {
+	var cjk, cjkTypo strings.Builder
+	for r := rune(0x4E00); r < 0x4E00+80; r++ {
+		cjk.WriteRune(r)
+		if r == 0x4E00+40 {
+			cjkTypo.WriteRune(0x9FA0)
+		} else {
+			cjkTypo.WriteRune(r)
+		}
+	}
+	s, null := value.NewString, value.Null
+	rows := []relation.Row{
+		{s("Jürgen Müller"), value.NewInt(42), s("köln")},
+		{s("Jurgen Muller"), s("42"), s("koln")},
+		{s("José Ñúñez"), value.NewFloat(42.5), s("são paulo")},
+		{s("José Ñúñez"), s("forty-two"), s("são paulo")},
+		{s(cjk.String()), value.NewInt(7), s("北京")},
+		{s(cjkTypo.String()), value.NewInt(7), s("北京 北京")},
+		{s(""), s(""), s("")},
+		{s(""), null, s("x")},
+		{null, null, null},
+		{s("anna!"), s("a!é)"), s("!!!!")},
+		{s("anna"), s("a)é!"), s("aaaa")},
+	}
+	b := relation.NewBuilder("edge", "Name", "Mixed", "Note")
+	for c := 0; c < 14; c++ {
+		for i, r := range rows {
+			note := r[2]
+			if !note.IsNull() && (c+i)%3 != 0 {
+				note = s(fmt.Sprintf("%s %d", note.Text(), c))
+			}
+			b.Add(r[0], r[1], note)
+		}
+	}
+	return b.Build()
+}
+
+// TestDetectOracleEdgeCases runs the reference against the edge cells,
+// a single-row relation, and the NoContradictionPenalty ablation.
+func TestDetectOracleEdgeCases(t *testing.T) {
+	edge := edgeRelation()
+	if n := edge.Len(); n < measureShardMinRows || n*(n-1)/2 <= pairChunkSize {
+		t.Fatalf("%d edge rows engage neither sharding nor chunking", n)
+	}
+	single := relation.NewBuilder("one", "Name", "Mixed", "Note").
+		Add(value.NewString("anna"), value.NewInt(1), value.Null).Build()
+	all := []string{"Name", "Mixed", "Note"}
+	for _, tc := range []struct {
+		label string
+		rel   *relation.Relation
+		cfg   Config
+	}{
+		{"edge selected", edge, Config{}},
+		{"edge all", edge, Config{Attributes: all}},
+		{"edge low threshold", edge, Config{Attributes: all, Threshold: 0.5}},
+		{"edge no penalty", edge, Config{Attributes: all, Threshold: 0.5, NoContradictionPenalty: true}},
+		{"edge no filter", edge, Config{Attributes: all, DisableFilter: true}},
+		{"edge window", edge, Config{Attributes: all, Window: 5}},
+		{"edge blocking", edge, Config{Attributes: all, Blocking: 2}},
+		{"edge qgrams", edge, Config{Attributes: all, QGrams: 2}},
+		{"single", single, Config{Attributes: all}},
+		{"single qgrams", single, Config{Attributes: all, QGrams: 3}},
+	} {
+		want := refDetect(t, tc.rel, tc.cfg)
+		for _, par := range []int{1, 2, 3, 8} {
+			cfg := tc.cfg
+			cfg.Parallelism = par
+			got, err := Detect(tc.rel, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("%s p %d", tc.label, par), want, got)
+		}
+	}
+}
+
+// maxDetectAllocs caps the allocations of one sequential Detect over
+// the 201-row datagen fixture at its measured count. Per-row slices
+// dominate; a change that starts allocating per pair blows through it
+// at once.
+const maxDetectAllocs = 11249
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+func TestDetectAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	rel := datagenDirty(42, 67)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Detect(rel, Config{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxDetectAllocs {
+		t.Errorf("Detect allocs = %v, want <= %d", allocs, maxDetectAllocs)
+	}
+}

@@ -3,7 +3,9 @@ package dupdetect
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hummer/internal/relation"
@@ -147,6 +149,178 @@ func TestPropertySimilaritySymmetric(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// gateAlphabet puts runes that share a mask bucket side by side: 'a'
+// (97) and '!' (33) both land in bucket 33, 'é' (233) and ')' (41)
+// both in bucket 41.
+const gateAlphabet = "a!é)bcde"
+
+// randomGateTable builds a random relation whose cells stress the
+// rune-mask gate: colliding runes, empty values beside non-empty ones
+// and NULLs, identical and one-edit copies of earlier values, values
+// with more than 64 distinct runes, and a column mixing numbers with
+// strings.
+func randomGateTable(rng *rand.Rand) *relation.Relation {
+	alpha := []rune(gateAlphabet)
+	short := func() []rune {
+		out := make([]rune, rng.Intn(9))
+		for i := range out {
+			out[i] = alpha[rng.Intn(len(alpha))]
+		}
+		return out
+	}
+	long := func() []rune {
+		n := 65 + rng.Intn(32)
+		out := make([]rune, n)
+		for i, p := range rng.Perm(n) {
+			out[i] = 0x4E00 + rune(p)
+		}
+		return out
+	}
+	edit := func(rs []rune) []rune {
+		out := slices.Clone(rs)
+		fresh := alpha[rng.Intn(len(alpha))]
+		if len(out) > 8 {
+			fresh = 0x9F00 + rune(rng.Intn(64))
+		}
+		switch pos := rng.Intn(len(out) + 1); {
+		case pos == len(out) || rng.Intn(3) == 0:
+			out = slices.Insert(out, pos, fresh)
+		case rng.Intn(2) == 0:
+			out[pos] = fresh
+		default:
+			out = slices.Delete(out, pos, pos+1)
+		}
+		return out
+	}
+	fresh := []func() value.Value{
+		func() value.Value { return value.NewString(string(short())) },
+		func() value.Value { return value.NewString(string(long())) },
+		func() value.Value {
+			if rng.Intn(2) == 0 {
+				return value.NewInt(int64(rng.Intn(4)))
+			}
+			return value.NewString(string(short()))
+		},
+	}
+	n := 20 + rng.Intn(30)
+	cells := make([][]value.Value, len(fresh))
+	b := relation.NewBuilder("t", "Short", "Long", "Mixed")
+	for i := 0; i < n; i++ {
+		row := make(relation.Row, len(fresh))
+		for k := range row {
+			switch p := rng.Float64(); {
+			case p < 0.1:
+				row[k] = value.Null
+			case p < 0.2:
+				row[k] = value.NewString("")
+			case i > 0 && p < 0.4:
+				row[k] = cells[k][rng.Intn(i)]
+			case i > 0 && p < 0.7:
+				prev := cells[k][rng.Intn(i)]
+				if prev.IsNull() || prev.Kind() != value.KindString {
+					row[k] = fresh[k]()
+				} else {
+					row[k] = value.NewString(string(edit([]rune(prev.Text()))))
+				}
+			default:
+				row[k] = fresh[k]()
+			}
+			cells[k] = append(cells[k], row[k])
+		}
+		b.Add(row...)
+	}
+	return b.Build()
+}
+
+// histCommon is the rune-multiset intersection size of a and b.
+func histCommon(a, b []rune) int {
+	count := map[rune]int{}
+	for _, r := range a {
+		count[r]++
+	}
+	common := 0
+	for _, r := range b {
+		if count[r] > 0 {
+			count[r]--
+			common++
+		}
+	}
+	return common
+}
+
+// TestRuneMaskGateExact: the rune-mask gate in front of editSimBound
+// changes no bound. Hand cases pin maskCommon's value — sound (≥ the
+// histogram's common) and no looser than the smaller one-sided bound —
+// and on random relations upperBound returns the reference bound's
+// exact bits for every ordered pair. TestPropertyUpperBoundDominates
+// only checks bound ≥ similarity, so it cannot catch an over-tight
+// gate; this test can.
+func TestRuneMaskGateExact(t *testing.T) {
+	for _, tc := range []struct {
+		a, b string
+		want int
+	}{
+		{"aaaa", "abcd", 1},
+		{"abcd", "aaaa", 1},
+		{"abcd", "abcdx", 4},
+		{"abcdx", "abcd", 4},
+		{"a", "!", 1}, // one bucket: the collision hides the mismatch
+		{"é)", ")é", 2},
+		{"", "abc", 0},
+		{"abc", "abc", 3},
+	} {
+		ra, rb := []rune(tc.a), []rune(tc.b)
+		got := maskCommon(len(ra), len(rb), runeMask(ra), runeMask(rb))
+		if got != tc.want || got < histCommon(ra, rb) {
+			t.Errorf("maskCommon(%q, %q) = %d, want %d (histogram common %d)",
+				tc.a, tc.b, got, tc.want, histCommon(ra, rb))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(27))
+	rejected, nearMisses := 0, 0
+	for trial := 0; trial < 40; trial++ {
+		rel := randomGateTable(rng)
+		cols := []int{0, 1, 2}
+		m, err := newMeasure(context.Background(), rel, cols, Config{Threshold: 0.8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < rel.Len(); a++ {
+			for b := 0; b < rel.Len(); b++ {
+				got, want := m.upperBound(a, b), refUpperBound(m, a, b)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: upperBound(%d,%d) = %v, reference %v\n%v\n%v",
+						trial, a, b, got, want, rel.Row(a), rel.Row(b))
+				}
+				for k := range cols {
+					if m.null[a][k] || m.null[b][k] {
+						continue
+					}
+					ra, rb := m.runes[a][k], m.runes[b][k]
+					ma, mb := m.masks[a*len(cols)+k], m.masks[b*len(cols)+k]
+					c, l := maskCommon(len(ra), len(rb), ma, mb), max(len(ra), len(rb))
+					if c < histCommon(ra, rb) {
+						t.Fatalf("maskCommon(%q, %q) = %d below the histogram's %d",
+							string(ra), string(rb), c, histCommon(ra, rb))
+					}
+					switch {
+					case l > 0 && float64(c)/float64(l) < matchCutoff:
+						rejected++
+					case ma != mb && float64(histCommon(ra, rb))/float64(l) >= matchCutoff:
+						nearMisses++
+					}
+				}
+			}
+		}
+	}
+	// Both must occur, or the fixtures test neither a working gate nor
+	// an over-tight one.
+	if rejected == 0 || nearMisses == 0 {
+		t.Fatalf("gate rejected %d attribute pairs, passed %d near misses", rejected, nearMisses)
 	}
 }
 

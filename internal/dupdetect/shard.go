@@ -51,18 +51,23 @@ func (ps *pairScorer) score(a, b int, out *shardResult) {
 	}
 }
 
-// scorePairs runs the candidate stream through cfg.Parallelism worker
-// goroutines (0 = GOMAXPROCS) and returns the merged, canonically
-// ordered scoring output. ctx is checked at chunk boundaries: a
-// cancelled run returns ctx's error with every goroutine — workers and
-// the candidate generator — joined, and no partial result.
-func scorePairs(ctx context.Context, m *measure, cfg Config, gen pairGen) (shardResult, error) {
-	workers := parshard.Workers(cfg.Parallelism)
-	// Tiny inputs fit in a single chunk; the pool would only add
-	// scheduling overhead (the result is identical either way).
-	if n := len(m.texts); workers > 1 && n*(n-1)/2 <= pairChunkSize {
-		workers = 1
+// scoreWorkers is the number of goroutines that score the candidates
+// of an n-row relation at the given Parallelism (0 = GOMAXPROCS).
+// Tiny inputs fit in a single chunk; the pool would only add
+// scheduling overhead (the result is identical either way).
+func scoreWorkers(parallelism, n int) int {
+	if n*(n-1)/2 <= pairChunkSize {
+		return 1
 	}
+	return parshard.Workers(parallelism)
+}
+
+// scorePairs runs the candidate stream through the given number of
+// worker goroutines and returns the merged, canonically ordered
+// scoring output. ctx is checked at chunk boundaries: a cancelled run
+// returns ctx's error with every goroutine — workers and the candidate
+// generator — joined, and no partial result.
+func scorePairs(ctx context.Context, m *measure, cfg Config, workers int, gen pairGen) (shardResult, error) {
 	return parshard.RunContext(ctx, workers, pairChunkSize,
 		parshard.Gen[[2]int](func(yield func([2]int) bool) {
 			gen(func(a, b int) bool { return yield([2]int{a, b}) })
