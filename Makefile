@@ -13,7 +13,7 @@
 #   make lint    — the repo's own static-analysis suite
 #                  (cmd/hummer-lint): panic containment on every
 #                  goroutine, determinism bans in result-producing
-#                  packages, ctx discipline, sync/atomic mixing, and
+#                  packages, ctx discipline, typed atomics only, and
 #                  error-wrapping hygiene.
 #   make chaos   — the fault-injection chaos suite under -race: a
 #                  server hammered by concurrent mixed queries while a

@@ -94,7 +94,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Run([]string{"s1", "s2"}, core.Options{}); err != nil {
+				if _, err := p.RunContext(b.Context(), []string{"s1", "s2"}, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -111,7 +111,7 @@ func BenchmarkDUMASMatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dumas.Match(l, r, dumas.Config{}); err != nil {
+				if _, err := dumas.MatchContext(b.Context(), l, r, dumas.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -139,7 +139,7 @@ func BenchmarkDetect(b *testing.B) {
 		n = 1200
 	}
 	rel := benchDirty(n)
-	baseline, err := dupdetect.Detect(rel, dupdetect.Config{Parallelism: 1})
+	baseline, err := dupdetect.DetectContext(b.Context(), rel, dupdetect.Config{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func BenchmarkDetect(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d/parallel=%d", n, p), func(b *testing.B) {
 			// Identity is asserted once, outside the timed loop: the
 			// reflection walk must not skew the measured speedup.
-			res, err := dupdetect.Detect(rel, dupdetect.Config{Parallelism: p})
+			res, err := dupdetect.DetectContext(b.Context(), rel, dupdetect.Config{Parallelism: p})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func BenchmarkDetect(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dupdetect.Detect(rel, dupdetect.Config{Parallelism: p}); err != nil {
+				if _, err := dupdetect.DetectContext(b.Context(), rel, dupdetect.Config{Parallelism: p}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -174,7 +174,7 @@ func BenchmarkDupDetect(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dupdetect.Detect(rel, dupdetect.Config{}); err != nil {
+				if _, err := dupdetect.DetectContext(b.Context(), rel, dupdetect.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -191,7 +191,7 @@ func BenchmarkDupDetectNoFilter(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dupdetect.Detect(rel, dupdetect.Config{DisableFilter: true}); err != nil {
+				if _, err := dupdetect.DetectContext(b.Context(), rel, dupdetect.Config{DisableFilter: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -239,7 +239,7 @@ func BenchmarkFuseByScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("pipeline/rows=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Run([]string{"s1", "s2"}, core.Options{}); err != nil {
+				if _, err := p.RunContext(b.Context(), []string{"s1", "s2"}, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -260,7 +260,7 @@ func BenchmarkFuseByScaling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := engine.Materialize("u", u); err != nil {
+				if _, err := engine.MaterializeContext(b.Context(), "u", u); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -25,12 +26,13 @@ func main() {
 	seed := flag.Int64("seed", 2005, "workload seed")
 	flag.Parse()
 
+	ctx := context.Background()
 	ids := experiments.IDs()
 	if *exp != "" {
 		ids = []string{*exp}
 	}
 	for _, id := range ids {
-		rep := experiments.ByID(id, *seed)
+		rep := experiments.ByID(ctx, id, *seed)
 		if rep == nil {
 			fmt.Fprintf(os.Stderr, "hummer-bench: unknown experiment %q (known: %s)\n",
 				id, strings.Join(experiments.IDs(), ", "))

@@ -1,7 +1,7 @@
 // Command hummer-lint runs HumMer's contracts-as-code analyzer suite
 // (internal/lint) over the module: panic containment at every
 // goroutine boundary, the determinism contract in the fusion packages,
-// end-to-end ctx threading, sync/atomic access consistency, and error
+// end-to-end ctx threading, typed atomics only, and error
 // wrapping across package boundaries.
 //
 // Usage:

@@ -637,9 +637,10 @@ func (db *DB) SetParallelism(n int) {
 
 // DetectDuplicates runs the duplicate-detection phase alone over a
 // relation — clusters, scored pairs and statistics without the full
-// fusion pipeline.
+// fusion pipeline. It is DetectDuplicatesContext with a background
+// context: it cannot be cancelled.
 func DetectDuplicates(rel *Relation, cfg DetectionConfig) (*Detection, error) {
-	return dupdetect.Detect(rel, cfg)
+	return DetectDuplicatesContext(context.Background(), rel, cfg)
 }
 
 // DetectDuplicatesContext is DetectDuplicates honoring ctx: a
@@ -652,9 +653,10 @@ func DetectDuplicatesContext(ctx context.Context, rel *Relation, cfg DetectionCo
 // MatchSchemas runs DUMAS instance-based schema matching alone over
 // two relations — attribute correspondences, the duplicate tuple pairs
 // they rest on, and the averaged field-similarity matrix, without the
-// full fusion pipeline.
+// full fusion pipeline. It is MatchSchemasContext with a background
+// context: it cannot be cancelled.
 func MatchSchemas(left, right *Relation, cfg MatchConfig) (*MatchResult, error) {
-	return dumas.Match(left, right, cfg)
+	return MatchSchemasContext(context.Background(), left, right, cfg)
 }
 
 // MatchSchemasContext is MatchSchemas honoring ctx: a cancelled match
@@ -666,8 +668,9 @@ func MatchSchemasContext(ctx context.Context, left, right *Relation, cfg MatchCo
 
 // Fuse runs the three-phase pipeline programmatically over the
 // registered aliases — the API equivalent of the demo's wizard mode.
+// It is FuseContext with a background context: it cannot be cancelled.
 func (db *DB) Fuse(aliases []string, opts PipelineOptions) (*PipelineResult, error) {
-	return db.newPipeline().Run(aliases, opts)
+	return db.FuseContext(context.Background(), aliases, opts)
 }
 
 // FuseContext is Fuse honoring ctx through every pipeline phase.

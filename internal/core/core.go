@@ -171,12 +171,6 @@ type Pipeline struct {
 	OnDuplicates func(det *dupdetect.Result, merged *relation.Relation) []int
 }
 
-// Run executes the full pipeline over the aliased sources. It is
-// RunContext with a background context: it cannot be cancelled.
-func (p *Pipeline) Run(aliases []string, opts Options) (*Result, error) {
-	return p.RunContext(context.Background(), aliases, opts)
-}
-
 // RunContext executes the full pipeline over the aliased sources,
 // honoring ctx through every phase: source loading checks it between
 // sources, schema matching and duplicate detection propagate it into
@@ -184,7 +178,7 @@ func (p *Pipeline) Run(aliases []string, opts Options) (*Result, error) {
 // singleflight), and the phase boundaries re-check it, so a cancelled
 // query aborts promptly with ctx's error, no goroutines left behind
 // and no partial result. A run that completes is byte-identical to an
-// uncancellable one.
+// uncancelled one.
 func (p *Pipeline) RunContext(ctx context.Context, aliases []string, opts Options) (*Result, error) {
 	if p.Repo == nil {
 		return nil, fmt.Errorf("core: pipeline has no metadata repository")

@@ -39,7 +39,7 @@ func repoWithStudents(t *testing.T) *metadata.Repository {
 
 func TestFig2PipelineDataflow(t *testing.T) {
 	p := &Pipeline{Repo: repoWithStudents(t)}
-	res, err := p.Run([]string{"EE_Student", "CS_Students"}, Options{
+	res, err := p.RunContext(t.Context(), []string{"EE_Student", "CS_Students"}, Options{
 		FuseBy: []string{"Name"},
 		Rules:  map[string]fusion.Spec{"Age": {Name: "max"}},
 	})
@@ -102,7 +102,7 @@ func TestSingleSourceCleansing(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Pipeline{Repo: repo}
-	res, err := p.Run([]string{"upload"}, Options{})
+	res, err := p.RunContext(t.Context(), []string{"upload"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSingleSourceCleansing(t *testing.T) {
 
 func TestExactGroupingSkipsDetection(t *testing.T) {
 	p := &Pipeline{Repo: repoWithStudents(t)}
-	res, err := p.Run([]string{"EE_Student", "CS_Students"}, Options{
+	res, err := p.RunContext(t.Context(), []string{"EE_Student", "CS_Students"}, Options{
 		FuseBy:        []string{"Name"},
 		ExactGrouping: true,
 	})
@@ -141,21 +141,21 @@ func TestExactGroupingSkipsDetection(t *testing.T) {
 
 func TestExactGroupingRequiresFuseBy(t *testing.T) {
 	p := &Pipeline{Repo: repoWithStudents(t)}
-	if _, err := p.Run([]string{"EE_Student"}, Options{ExactGrouping: true}); err == nil {
+	if _, err := p.RunContext(t.Context(), []string{"EE_Student"}, Options{ExactGrouping: true}); err == nil {
 		t.Error("ExactGrouping without FuseBy must error")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	p := &Pipeline{Repo: metadata.NewRepository()}
-	if _, err := p.Run(nil, Options{}); err == nil {
+	if _, err := p.RunContext(t.Context(), nil, Options{}); err == nil {
 		t.Error("no sources must error")
 	}
-	if _, err := p.Run([]string{"ghost"}, Options{}); err == nil {
+	if _, err := p.RunContext(t.Context(), []string{"ghost"}, Options{}); err == nil {
 		t.Error("unknown alias must error")
 	}
 	noRepo := &Pipeline{}
-	if _, err := noRepo.Run([]string{"x"}, Options{}); err == nil {
+	if _, err := noRepo.RunContext(t.Context(), []string{"x"}, Options{}); err == nil {
 		t.Error("missing repository must error")
 	}
 }
@@ -169,7 +169,7 @@ func TestOnCorrespondencesHook(t *testing.T) {
 		sawAlias = alias
 		return nil
 	}
-	res, err := p.Run([]string{"EE_Student", "CS_Students"}, Options{FuseBy: []string{"Name"}})
+	res, err := p.RunContext(t.Context(), []string{"EE_Student", "CS_Students"}, Options{FuseBy: []string{"Name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestOnAttributesHook(t *testing.T) {
 		proposed = attrs
 		return []string{"Name"}
 	}
-	res, err := p.Run([]string{"EE_Student", "CS_Students"}, Options{})
+	res, err := p.RunContext(t.Context(), []string{"EE_Student", "CS_Students"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestOnDuplicatesHookOverridesClustering(t *testing.T) {
 		}
 		return ids
 	}
-	res, err := p.Run([]string{"EE_Student", "CS_Students"}, Options{})
+	res, err := p.RunContext(t.Context(), []string{"EE_Student", "CS_Students"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,14 +225,14 @@ func TestOnDuplicatesHookBadLength(t *testing.T) {
 	p.OnDuplicates = func(det *dupdetect.Result, merged *relation.Relation) []int {
 		return []int{0}
 	}
-	if _, err := p.Run([]string{"EE_Student", "CS_Students"}, Options{}); err == nil {
+	if _, err := p.RunContext(t.Context(), []string{"EE_Student", "CS_Students"}, Options{}); err == nil {
 		t.Error("wrong-length override must error")
 	}
 }
 
 func TestFuseByAttributesIncludedInDetection(t *testing.T) {
 	p := &Pipeline{Repo: repoWithStudents(t)}
-	res, err := p.Run([]string{"EE_Student", "CS_Students"}, Options{FuseBy: []string{"Name"}})
+	res, err := p.RunContext(t.Context(), []string{"EE_Student", "CS_Students"}, Options{FuseBy: []string{"Name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestFuseByAttributesIncludedInDetection(t *testing.T) {
 
 func TestLineagePropagatesThroughPipeline(t *testing.T) {
 	p := &Pipeline{Repo: repoWithStudents(t)}
-	res, err := p.Run([]string{"EE_Student", "CS_Students"}, Options{
+	res, err := p.RunContext(t.Context(), []string{"EE_Student", "CS_Students"}, Options{
 		FuseBy: []string{"Name"},
 		Rules:  map[string]fusion.Spec{"Age": {Name: "max"}},
 	})
@@ -270,7 +270,7 @@ func TestLineagePropagatesThroughPipeline(t *testing.T) {
 
 func TestSourceIDValuesAreAliases(t *testing.T) {
 	p := &Pipeline{Repo: repoWithStudents(t)}
-	res, err := p.Run([]string{"EE_Student", "CS_Students"}, Options{})
+	res, err := p.RunContext(t.Context(), []string{"EE_Student", "CS_Students"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,29 +112,3 @@ func TestMatchScoreSpan(t *testing.T) {
 		}
 	}
 }
-
-// TestMatchContextCompletesIdentical: an uncancelled MatchContext is
-// byte-identical to Match at several worker counts.
-func TestMatchContextCompletesIdentical(t *testing.T) {
-	left := relation.NewBuilder("l", "Name", "Age")
-	right := relation.NewBuilder("r", "FullName", "Years")
-	for i := 0; i < 60; i++ {
-		left.AddText(fmt.Sprintf("sam sample %d", i), fmt.Sprintf("%d", 20+i%30))
-		right.AddText(fmt.Sprintf("sam sample %d", i), fmt.Sprintf("%d", 20+i%30))
-	}
-	l, r := left.Build(), right.Build()
-	for _, par := range []int{1, 3} {
-		cfg := Config{Parallelism: par}
-		want, err := Match(l, r, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := MatchContext(context.Background(), l, r, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
-			t.Fatalf("parallelism %d: MatchContext differs from Match", par)
-		}
-	}
-}

@@ -147,22 +147,17 @@ type Result struct {
 	Stats Stats
 }
 
-// Match derives attribute correspondences between two unaligned
+// MatchContext derives attribute correspondences between two unaligned
 // relations. It returns an error when either relation is empty —
 // instance-based matching has nothing to work with then — or when the
-// configuration selects conflicting candidate strategies. It is
-// MatchContext with a background context: it cannot be cancelled.
-func Match(left, right *relation.Relation, cfg Config) (*Result, error) {
-	return MatchContext(context.Background(), left, right, cfg)
-}
-
-// MatchContext derives attribute correspondences between two unaligned
-// relations, honoring ctx: the per-tuple precomputation polls it
+// configuration selects conflicting candidate strategies.
+//
+// ctx is honored throughout: the per-tuple precomputation polls it
 // between row shards, the scoring between left rows (or pair chunks)
 // and the field-matrix averaging polls it between cells, so a
 // cancelled match returns promptly with ctx's error, all worker
 // goroutines joined and no partial result. A match that completes is
-// byte-identical to an uncancellable run.
+// byte-identical to an uncancelled run.
 func MatchContext(ctx context.Context, left, right *relation.Relation, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -222,22 +217,6 @@ func tupleText(row relation.Row) string {
 	return strings.Join(parts, " ")
 }
 
-// FindDuplicates performs the duplicate-discovery step with the
-// default candidate strategy — term-at-a-time accumulation over an
-// inverted index, scoring every cross-table tuple pair that shares a
-// token — ranks the pairs by whole-tuple TFIDF similarity and returns
-// the top maxDups pairs above minSim.
-//
-// Each left and right tuple participates in at most one returned pair:
-// a real-world entity should contribute one aligned observation, and
-// reusing a tuple would bias the averaged field matrix toward it.
-// It runs on a background context: it cannot be cancelled (MatchContext
-// is the cancellable entry point into duplicate search).
-func FindDuplicates(left, right *relation.Relation, maxDups int, minSim float64) []TuplePair {
-	dups, _, _ := findDuplicates(context.Background(), left, right, Config{MaxDuplicates: maxDups, MinTupleSim: minSim})
-	return dups
-}
-
 // precomputeMinRows is the smallest input the per-tuple precomputation
 // and the default strategy's row-sharded scoring bother to shard;
 // below it goroutine startup dominates.
@@ -262,13 +241,18 @@ func (s *scoreShard) merge(o scoreShard) {
 // findDuplicates is the full discovery step: sharded per-tuple
 // precomputation, sharded candidate scoring (term at a time by
 // default, a key-based pair stream otherwise), and the deterministic
-// ranked 1:1 top-k selection.
+// ranked 1:1 top-k selection: the top MaxDuplicates pairs at or above
+// MinTupleSim.
+//
+// Each left and right tuple participates in at most one returned pair:
+// a real-world entity should contribute one aligned observation, and
+// reusing a tuple would bias the averaged field matrix toward it.
+//
 // cfg must have passed validation; MaxDuplicates and MinTupleSim are
-// honored exactly as given (the exported FindDuplicates deliberately
-// passes raw values to keep its historical parameter semantics, e.g.
-// minSim = 0 keeping every candidate). ctx is polled between row
-// shards and during scoring; on cancellation the partial
-// state is discarded and ctx's error returned.
+// honored exactly as given (no defaults are filled in, so MinTupleSim
+// = 0 keeps every candidate). ctx is polled between row shards and
+// during scoring; on cancellation the partial state is discarded and
+// ctx's error returned.
 func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Config) ([]TuplePair, Stats, error) {
 	nl, nr := left.Len(), right.Len()
 	workers := parshard.Workers(cfg.Parallelism)

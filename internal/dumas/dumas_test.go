@@ -36,7 +36,7 @@ func corrMap(r *Result) map[string]string {
 
 func TestMatchStudents(t *testing.T) {
 	ee, cs := students()
-	res, err := Match(ee, cs, Config{})
+	res, err := MatchContext(t.Context(), ee, cs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMatchStudents(t *testing.T) {
 
 func TestMatchIsOneToOne(t *testing.T) {
 	ee, cs := students()
-	res, err := Match(ee, cs, Config{})
+	res, err := MatchContext(t.Context(), ee, cs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +74,10 @@ func TestMatchIsOneToOne(t *testing.T) {
 func TestMatchEmptyRelationErrors(t *testing.T) {
 	ee, _ := students()
 	empty := relation.NewBuilder("empty", "a", "b").Build()
-	if _, err := Match(ee, empty, Config{}); err == nil {
+	if _, err := MatchContext(t.Context(), ee, empty, Config{}); err == nil {
 		t.Error("matching against empty relation must fail")
 	}
-	if _, err := Match(empty, ee, Config{}); err == nil {
+	if _, err := MatchContext(t.Context(), empty, ee, Config{}); err == nil {
 		t.Error("matching from empty relation must fail")
 	}
 }
@@ -89,7 +89,7 @@ func TestMatchNoDuplicatesGivesNoCorrespondences(t *testing.T) {
 	b := relation.NewBuilder("b", "p", "q").
 		AddText("gamma", "delta").
 		Build()
-	res, err := Match(a, b, Config{})
+	res, err := MatchContext(t.Context(), a, b, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMatchNoDuplicatesGivesNoCorrespondences(t *testing.T) {
 
 func TestFindDuplicatesRanksTrueDuplicateFirst(t *testing.T) {
 	ee, cs := students()
-	dups := FindDuplicates(ee, cs, 3, 0.1)
+	dups, _, _ := findDuplicates(t.Context(), ee, cs, Config{MaxDuplicates: 3, MinTupleSim: 0.1})
 	if len(dups) == 0 {
 		t.Fatal("no duplicates")
 	}
@@ -115,7 +115,7 @@ func TestFindDuplicatesRanksTrueDuplicateFirst(t *testing.T) {
 
 func TestFindDuplicatesOneToOne(t *testing.T) {
 	ee, cs := students()
-	dups := FindDuplicates(ee, cs, 10, 0.0)
+	dups, _, _ := findDuplicates(t.Context(), ee, cs, Config{MaxDuplicates: 10})
 	seenL, seenR := map[int]bool{}, map[int]bool{}
 	for _, d := range dups {
 		if seenL[d.LeftRow] || seenR[d.RightRow] {
@@ -128,17 +128,17 @@ func TestFindDuplicatesOneToOne(t *testing.T) {
 
 func TestFindDuplicatesRespectsLimits(t *testing.T) {
 	ee, cs := students()
-	if got := FindDuplicates(ee, cs, 2, 0.0); len(got) > 2 {
+	if got, _, _ := findDuplicates(t.Context(), ee, cs, Config{MaxDuplicates: 2}); len(got) > 2 {
 		t.Errorf("maxDups=2 returned %d pairs", len(got))
 	}
-	if got := FindDuplicates(ee, cs, 10, 0.999); len(got) != 0 {
+	if got, _, _ := findDuplicates(t.Context(), ee, cs, Config{MaxDuplicates: 10, MinTupleSim: 0.999}); len(got) != 0 {
 		t.Errorf("minSim≈1 returned %d pairs, want 0", len(got))
 	}
 }
 
 func TestMatrixShapeAndBounds(t *testing.T) {
 	ee, cs := students()
-	res, err := Match(ee, cs, Config{})
+	res, err := MatchContext(t.Context(), ee, cs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestMatrixShapeAndBounds(t *testing.T) {
 
 func TestThresholdPrunes(t *testing.T) {
 	ee, cs := students()
-	loose, err := Match(ee, cs, Config{Threshold: 0.01})
+	loose, err := MatchContext(t.Context(), ee, cs, Config{Threshold: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := Match(ee, cs, Config{Threshold: 0.99})
+	strict, err := MatchContext(t.Context(), ee, cs, Config{Threshold: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestMatchWithTyposInDuplicates(t *testing.T) {
 		AddText("Hamburg", "Maria Garcia").
 		AddText("Stuttgart", "Lena Fischer").
 		Build()
-	res, err := Match(a, b, Config{})
+	res, err := MatchContext(t.Context(), a, b, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestMatchNumericColumns(t *testing.T) {
 		AddText("9.50", "Mozart Requiem KV626").
 		AddText("7.77", "Verdi Aida Highlights").
 		Build()
-	res, err := Match(a, b, Config{})
+	res, err := MatchContext(t.Context(), a, b, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

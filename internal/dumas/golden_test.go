@@ -70,7 +70,7 @@ func TestGoldenMatch(t *testing.T) {
 		{"qgrams3", Config{QGrams: 3}},
 		{"k3", Config{MaxDuplicates: 3}},
 	} {
-		res, err := Match(left.Rel, right.Rel, tc.cfg)
+		res, err := MatchContext(t.Context(), left.Rel, right.Rel, tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}

@@ -63,7 +63,7 @@ func requireIdentical(t *testing.T, label string, want, got *Result) {
 }
 
 // TestPropertyParallelDeterministic: for random relation pairs and
-// every candidate strategy, Match with Parallelism ∈ {2, 3, 7,
+// every candidate strategy, MatchContext with Parallelism ∈ {2, 3, 7,
 // GOMAXPROCS} must return a Result byte-identical to the sequential
 // path (Parallelism = 1) — parallelism is a wall-clock knob, never a
 // semantics knob.
@@ -80,14 +80,14 @@ func TestPropertyParallelDeterministic(t *testing.T) {
 		}
 		for ci, base := range configs {
 			base.Parallelism = 1
-			seq, err := Match(left, right, base)
+			seq, err := MatchContext(t.Context(), left, right, base)
 			if err != nil {
 				t.Fatalf("trial %d cfg %d: %v", trial, ci, err)
 			}
 			for _, p := range counts {
 				cfg := base
 				cfg.Parallelism = p
-				par, err := Match(left, right, cfg)
+				par, err := MatchContext(t.Context(), left, right, cfg)
 				if err != nil {
 					t.Fatalf("trial %d cfg %d p=%d: %v", trial, ci, p, err)
 				}
@@ -128,7 +128,7 @@ func TestParallelDeterministicLargeInput(t *testing.T) {
 	}
 	for _, base := range []Config{{}, {Window: 40}} {
 		base.Parallelism = 1
-		seq, err := Match(left, right, base)
+		seq, err := MatchContext(t.Context(), left, right, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestParallelDeterministicLargeInput(t *testing.T) {
 		for _, p := range []int{2, 4, 8} {
 			cfg := base
 			cfg.Parallelism = p
-			par, err := Match(left, right, cfg)
+			par, err := MatchContext(t.Context(), left, right, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,11 +153,11 @@ func TestDefaultParallelismMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 5; trial++ {
 		left, right := randomPair(rng)
-		seq, err := Match(left, right, Config{Parallelism: 1})
+		seq, err := MatchContext(t.Context(), left, right, Config{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		auto, err := Match(left, right, Config{})
+		auto, err := MatchContext(t.Context(), left, right, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestDefaultParallelismMatchesSequential(t *testing.T) {
 // configuration error, not a silent precedence choice.
 func TestWindowAndQGramsExclusive(t *testing.T) {
 	left, right := randomPair(rand.New(rand.NewSource(1)))
-	if _, err := Match(left, right, Config{Window: 3, QGrams: 3}); err == nil {
+	if _, err := MatchContext(t.Context(), left, right, Config{Window: 3, QGrams: 3}); err == nil {
 		t.Fatal("Window+QGrams accepted; want error")
 	}
 }
@@ -190,7 +190,7 @@ func dupSet(dups []TuplePair) map[[2]int]bool {
 func TestCandidateStrategyRecall(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	left, right := randomPair(rng)
-	full, err := Match(left, right, Config{})
+	full, err := MatchContext(t.Context(), left, right, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCandidateStrategyRecall(t *testing.T) {
 		{"window", Config{Window: left.Len() + right.Len()}},
 		{"qgrams", Config{QGrams: 3}},
 	} {
-		res, err := Match(left, right, tc.cfg)
+		res, err := MatchContext(t.Context(), left, right, tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
@@ -240,11 +240,11 @@ func TestQGramsPrunesCandidates(t *testing.T) {
 		rb.AddText(name, "shared department label")
 	}
 	left, right := lb.Build(), rb.Build()
-	full, err := Match(left, right, Config{})
+	full, err := MatchContext(t.Context(), left, right, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked, err := Match(left, right, Config{QGrams: 4})
+	blocked, err := MatchContext(t.Context(), left, right, Config{QGrams: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func windowPairs(keys []string, window int) pairGen {
 }
 
 // blockStats counts what the key-based strategies threw away. The
-// generator writes it while streaming; Detect folds it into the
+// generator writes it while streaming; DetectContext folds it into the
 // Result's Stats only after the scoring run has joined the generator
 // goroutine, so no synchronization is needed.
 type blockStats struct {

@@ -11,6 +11,7 @@ import (
 
 	"hummer/internal/obs"
 	"hummer/internal/relation"
+	"hummer/internal/testutil"
 )
 
 // TestDetectContextCancelMidScoring cancels a detection while its
@@ -71,31 +72,45 @@ func TestDetectContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestDetectContextCompletesIdentical: an uncancelled DetectContext is
-// byte-identical to Detect (the context plumbing must not perturb the
-// canonical result).
-func TestDetectContextCompletesIdentical(t *testing.T) {
-	b := relation.NewBuilder("t", "Name", "Age")
-	for i := 0; i < 120; i++ {
-		b.AddText(fmt.Sprintf("alice example %d", i/2), fmt.Sprintf("%d", 20+i%40))
-	}
-	rel := b.Build()
-	for _, cfg := range []Config{
-		{Threshold: 0.8},
-		{Threshold: 0.8, Parallelism: 3},
-		{Threshold: 0.8, QGrams: 3},
+// TestDetectContextCancelAtEveryPoll cancels a detection at each of
+// its ctx polls in turn — measure, generator, scoring and clustering
+// alike, for every candidate strategy — and requires every one to
+// return context.Canceled with no partial result and no goroutine left
+// behind; one poll later than the last, the run completes identical to
+// an uncancelled one.
+func TestDetectContextCancelAtEveryPoll(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	rel := datagenDirty(42, 40)
+	for _, tc := range []struct {
+		cfg   Config
+		polls int
+	}{
+		{Config{Parallelism: 1}, 14},
+		{Config{Parallelism: 3}, 23},
+		{Config{Window: 8, Parallelism: 3}, 12},
+		{Config{Blocking: 3, Parallelism: 3}, 11},
+		{Config{QGrams: 3, Parallelism: 3}, 23},
 	} {
-		want, err := Detect(rel, cfg)
+		probe := testutil.CancelAtPoll(t, 0)
+		want, err := DetectContext(probe, rel, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DetectContext(context.Background(), rel, cfg)
+		polls := probe.Polls()
+		if polls != tc.polls {
+			t.Fatalf("%+v: %d ctx polls, want %d", tc.cfg, polls, tc.polls)
+		}
+		for n := 1; n <= polls; n++ {
+			res, err := DetectContext(testutil.CancelAtPoll(t, n), rel, tc.cfg)
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("%+v cancelled at poll %d/%d: got (%v, %v), want (nil, context.Canceled)", tc.cfg, n, polls, res, err)
+			}
+		}
+		got, err := DetectContext(testutil.CancelAtPoll(t, polls+1), rel, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
-			t.Fatalf("cfg %+v: DetectContext differs from Detect", cfg)
-		}
+		requireIdentical(t, fmt.Sprintf("%+v past the last poll", tc.cfg), want, got)
 	}
 }
 
@@ -155,7 +170,7 @@ func TestSkippedBlockStats(t *testing.T) {
 		b.AddText(fmt.Sprintf("aaa%06d", i), fmt.Sprintf("c%d", i))
 	}
 	rel := b.Build()
-	res, err := Detect(rel, Config{Threshold: 0.8, Blocking: 3, Attributes: []string{"Name"}})
+	res, err := DetectContext(t.Context(), rel, Config{Threshold: 0.8, Blocking: 3, Attributes: []string{"Name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +185,7 @@ func TestSkippedBlockStats(t *testing.T) {
 	}
 
 	// A window-based run never skips blocks: the counters stay zero.
-	res, err = Detect(rel, Config{Threshold: 0.8, Window: 2, Attributes: []string{"Name"}})
+	res, err = DetectContext(t.Context(), rel, Config{Threshold: 0.8, Window: 2, Attributes: []string{"Name"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,18 +179,12 @@ type Result struct {
 	Stats Stats
 }
 
-// Detect finds duplicate clusters in rel. It is DetectContext with a
-// background context: it cannot be cancelled.
-func Detect(rel *relation.Relation, cfg Config) (*Result, error) {
-	return DetectContext(context.Background(), rel, cfg)
-}
-
 // DetectContext finds duplicate clusters in rel, honoring ctx: the
 // measure precomputation polls it between row shards and the pair
 // scoring checks it at chunk boundaries, so a cancelled detection
 // returns promptly with ctx's error, all worker goroutines joined and
 // no partial result. A detection that completes is byte-identical to
-// an uncancellable run.
+// an uncancelled run.
 func DetectContext(ctx context.Context, rel *relation.Relation, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	strategies := 0

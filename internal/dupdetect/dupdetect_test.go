@@ -24,7 +24,7 @@ func dirtyPeople() *relation.Relation {
 }
 
 func TestDetectClustersKnownDuplicates(t *testing.T) {
-	res, err := Detect(dirtyPeople(), Config{})
+	res, err := DetectContext(t.Context(), dirtyPeople(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestDetectClustersKnownDuplicates(t *testing.T) {
 }
 
 func TestObjectIDsNumberedByFirstAppearance(t *testing.T) {
-	res, err := Detect(dirtyPeople(), Config{})
+	res, err := DetectContext(t.Context(), dirtyPeople(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestObjectIDsNumberedByFirstAppearance(t *testing.T) {
 
 func TestClustersPartitionRows(t *testing.T) {
 	rel := dirtyPeople()
-	res, err := Detect(rel, Config{})
+	res, err := DetectContext(t.Context(), rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMissingDataHasNoInfluence(t *testing.T) {
 		AddText("Friedrich Wilhelm Nietzsche", "55").
 		AddText("Friedrich Wilhelm Nietzsche", "").
 		Build()
-	res, err := Detect(rel, Config{Threshold: 0.8})
+	res, err := DetectContext(t.Context(), rel, Config{Threshold: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestContradictoryDataReducesSimilarity(t *testing.T) {
 		AddText("Maria Garcia", "20").
 		AddText("Maria Garcia", "").
 		Build()
-	conflict, err := Detect(withConflict, Config{Threshold: 0.99})
+	conflict, err := DetectContext(t.Context(), withConflict, Config{Threshold: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	missing, err := Detect(withMissing, Config{Threshold: 0.99})
+	missing, err := DetectContext(t.Context(), withMissing, Config{Threshold: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestContradictoryDataReducesSimilarity(t *testing.T) {
 	_ = missing
 	cs := simOf(conflict)
 	// Directly compare via measure on a relaxed threshold run instead:
-	relaxedC, _ := Detect(withConflict, Config{Threshold: 0.1})
-	relaxedM, _ := Detect(withMissing, Config{Threshold: 0.1})
+	relaxedC, _ := DetectContext(t.Context(), withConflict, Config{Threshold: 0.1})
+	relaxedM, _ := DetectContext(t.Context(), withMissing, Config{Threshold: 0.1})
 	if len(relaxedC.Duplicates) == 0 || len(relaxedM.Duplicates) == 0 {
 		t.Fatal("expected scored pairs at low threshold")
 	}
@@ -147,11 +147,11 @@ func TestNoContradictionPenaltyAblation(t *testing.T) {
 		AddText("Maria Garcia", "20").
 		AddText("Maria Garcia", "80").
 		Build()
-	strict, err := Detect(rel, Config{Threshold: 0.1})
+	strict, err := DetectContext(t.Context(), rel, Config{Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lax, err := Detect(rel, Config{Threshold: 0.1, NoContradictionPenalty: true})
+	lax, err := DetectContext(t.Context(), rel, Config{Threshold: 0.1, NoContradictionPenalty: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestFilterDoesNotChangeResults(t *testing.T) {
 	// The filter is an upper bound: switching it off must yield the
 	// identical clustering, only more comparisons.
 	rel := dirtyPeople()
-	with, err := Detect(rel, Config{})
+	with, err := DetectContext(t.Context(), rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Detect(rel, Config{DisableFilter: true})
+	without, err := DetectContext(t.Context(), rel, Config{DisableFilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFilterDoesNotChangeResults(t *testing.T) {
 }
 
 func TestStatsAddUp(t *testing.T) {
-	res, err := Detect(dirtyPeople(), Config{})
+	res, err := DetectContext(t.Context(), dirtyPeople(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestSelectAttributesExcludesAllNullAndConstant(t *testing.T) {
 
 func TestManualAttributeOverride(t *testing.T) {
 	rel := dirtyPeople()
-	res, err := Detect(rel, Config{Attributes: []string{"Email"}})
+	res, err := DetectContext(t.Context(), rel, Config{Attributes: []string{"Email"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,21 +263,21 @@ func TestManualAttributeOverride(t *testing.T) {
 }
 
 func TestDetectUnknownAttributeErrors(t *testing.T) {
-	if _, err := Detect(dirtyPeople(), Config{Attributes: []string{"nope"}}); err == nil {
+	if _, err := DetectContext(t.Context(), dirtyPeople(), Config{Attributes: []string{"nope"}}); err == nil {
 		t.Error("unknown attribute must error")
 	}
 }
 
 func TestDetectNoUsableAttributesErrors(t *testing.T) {
 	rel := relation.NewBuilder("t", "sourceID").AddText("s1").Build()
-	if _, err := Detect(rel, Config{}); err == nil {
+	if _, err := DetectContext(t.Context(), rel, Config{}); err == nil {
 		t.Error("relation with only bookkeeping columns must error")
 	}
 }
 
 func TestAppendObjectID(t *testing.T) {
 	rel := dirtyPeople()
-	res, err := Detect(rel, Config{})
+	res, err := DetectContext(t.Context(), rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestTransitiveClosure(t *testing.T) {
 		AddText("Christina Aguilera Fernandes").
 		AddText("Christina Aguilera Fernandos").
 		Build()
-	res, err := Detect(rel, Config{Threshold: 0.9})
+	res, err := DetectContext(t.Context(), rel, Config{Threshold: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestTransitiveClosure(t *testing.T) {
 }
 
 func TestBorderlineCases(t *testing.T) {
-	res, err := Detect(dirtyPeople(), Config{Threshold: 0.999})
+	res, err := DetectContext(t.Context(), dirtyPeople(), Config{Threshold: 0.999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +354,11 @@ func TestUnionFind(t *testing.T) {
 
 func TestSortedNeighborhoodFindsAdjacentDuplicates(t *testing.T) {
 	rel := dirtyPeople()
-	full, err := Detect(rel, Config{})
+	full, err := DetectContext(t.Context(), rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snm, err := Detect(rel, Config{Window: 3})
+	snm, err := DetectContext(t.Context(), rel, Config{Window: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestSortedNeighborhoodScalesLinearly(t *testing.T) {
 		b.AddText(fmt.Sprintf("person number %04d", i))
 	}
 	rel := b.Build()
-	res, err := Detect(rel, Config{Window: 5})
+	res, err := DetectContext(t.Context(), rel, Config{Window: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

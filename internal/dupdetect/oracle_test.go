@@ -142,7 +142,7 @@ func datagenDirty(seed int64, entities int) *relation.Relation {
 	}).Rel
 }
 
-// TestDetectMatchesOracle: Detect equals the brute-force reference —
+// TestDetectMatchesOracle: DetectContext equals the brute-force reference —
 // Stats, pair order, Sim bits and clusters — at every worker count,
 // seed and candidate strategy.
 func TestDetectMatchesOracle(t *testing.T) {
@@ -167,7 +167,7 @@ func TestDetectMatchesOracle(t *testing.T) {
 			for _, par := range []int{1, 2, 3, 8} {
 				cfg := base
 				cfg.Parallelism = par
-				got, err := Detect(rel, cfg)
+				got, err := DetectContext(t.Context(), rel, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -249,7 +249,7 @@ func TestDetectOracleEdgeCases(t *testing.T) {
 		for _, par := range []int{1, 2, 3, 8} {
 			cfg := tc.cfg
 			cfg.Parallelism = par
-			got, err := Detect(tc.rel, cfg)
+			got, err := DetectContext(t.Context(), tc.rel, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +258,7 @@ func TestDetectOracleEdgeCases(t *testing.T) {
 	}
 }
 
-// maxDetectAllocs caps the allocations of one sequential Detect over
+// maxDetectAllocs caps the allocations of one sequential DetectContext over
 // the 201-row datagen fixture at its measured count. Per-row slices
 // dominate; a change that starts allocating per pair blows through it
 // at once.
@@ -273,7 +273,7 @@ func TestDetectAllocCeiling(t *testing.T) {
 	}
 	rel := datagenDirty(42, 67)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Detect(rel, Config{Parallelism: 1}); err != nil {
+		if _, err := DetectContext(t.Context(), rel, Config{Parallelism: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})

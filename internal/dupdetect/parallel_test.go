@@ -19,7 +19,7 @@ func requireIdentical(t *testing.T, label string, want, got *Result) {
 }
 
 // TestPropertyParallelDeterministic: for random dirty tables and every
-// candidate strategy, Detect with Parallelism ∈ {2, 8} must return a
+// candidate strategy, DetectContext with Parallelism ∈ {2, 8} must return a
 // Result byte-identical to the sequential path (Parallelism = 1) —
 // parallelism is a wall-clock knob, never a semantics knob.
 func TestPropertyParallelDeterministic(t *testing.T) {
@@ -35,14 +35,14 @@ func TestPropertyParallelDeterministic(t *testing.T) {
 		}
 		for ci, base := range configs {
 			base.Parallelism = 1
-			seq, err := Detect(rel, base)
+			seq, err := DetectContext(t.Context(), rel, base)
 			if err != nil {
 				t.Fatalf("trial %d cfg %d: %v", trial, ci, err)
 			}
 			for _, p := range []int{2, 8} {
 				cfg := base
 				cfg.Parallelism = p
-				par, err := Detect(rel, cfg)
+				par, err := DetectContext(t.Context(), rel, cfg)
 				if err != nil {
 					t.Fatalf("trial %d cfg %d p=%d: %v", trial, ci, p, err)
 				}
@@ -64,7 +64,7 @@ func TestParallelDeterministicLargerThanChunk(t *testing.T) {
 			rel.MustAppend(bigger.Row(i))
 		}
 	}
-	seq, err := Detect(rel, Config{Parallelism: 1})
+	seq, err := DetectContext(t.Context(), rel, Config{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestParallelDeterministicLargerThanChunk(t *testing.T) {
 		t.Fatalf("workload too small to span chunks: %d pairs", seq.Stats.CandidatePairs)
 	}
 	for _, p := range []int{2, 4, 8} {
-		par, err := Detect(rel, Config{Parallelism: p})
+		par, err := DetectContext(t.Context(), rel, Config{Parallelism: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,12 +94,12 @@ func TestShardedMeasureDeterministic(t *testing.T) {
 			rel.MustAppend(more.Row(i))
 		}
 	}
-	seq, err := Detect(rel, Config{Parallelism: 1})
+	seq, err := DetectContext(t.Context(), rel, Config{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 3, 7} {
-		par, err := Detect(rel, Config{Parallelism: p})
+		par, err := DetectContext(t.Context(), rel, Config{Parallelism: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,11 +113,11 @@ func TestDefaultParallelismMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 5; trial++ {
 		rel := randomDirtyTable(rng)
-		seq, err := Detect(rel, Config{Parallelism: 1})
+		seq, err := DetectContext(t.Context(), rel, Config{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		auto, err := Detect(rel, Config{})
+		auto, err := DetectContext(t.Context(), rel, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestDefaultParallelismMatchesSequential(t *testing.T) {
 // the prefix of at least one selected attribute must still be found
 // under blocking.
 func TestBlockingFindsPrefixSharingDuplicates(t *testing.T) {
-	res, err := Detect(dirtyPeople(), Config{Blocking: 3})
+	res, err := DetectContext(t.Context(), dirtyPeople(), Config{Blocking: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestBlockingFindsPrefixSharingDuplicates(t *testing.T) {
 func TestBlockingReducesCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rel := randomDirtyTable(rng)
-	ex, err := Detect(rel, Config{})
+	ex, err := DetectContext(t.Context(), rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := Detect(rel, Config{Blocking: 4})
+	bl, err := DetectContext(t.Context(), rel, Config{Blocking: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBlockingReducesCandidates(t *testing.T) {
 // TestBlockingNoDuplicateCandidates: a pair sharing prefixes on several
 // attributes must still be counted once (cross-pass dedup).
 func TestBlockingNoDuplicateCandidates(t *testing.T) {
-	res, err := Detect(dirtyPeople(), Config{Blocking: 1})
+	res, err := DetectContext(t.Context(), dirtyPeople(), Config{Blocking: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestWindowAndBlockingExclusive(t *testing.T) {
 		{Blocking: 3, QGrams: 3},
 		{Window: 3, Blocking: 3, QGrams: 3},
 	} {
-		if _, err := Detect(dirtyPeople(), cfg); err == nil {
+		if _, err := DetectContext(t.Context(), dirtyPeople(), cfg); err == nil {
 			t.Fatalf("%+v accepted; want mutual-exclusion error", cfg)
 		}
 	}
@@ -217,7 +217,7 @@ func dirtyPrefixPeople() *relation.Relation {
 func TestQGramsRecallSurvivesDirtyPrefixes(t *testing.T) {
 	rel := dirtyPrefixPeople()
 
-	ex, err := Detect(rel, Config{})
+	ex, err := DetectContext(t.Context(), rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestQGramsRecallSurvivesDirtyPrefixes(t *testing.T) {
 		t.Fatalf("fixture invalid: exhaustive detection must cluster the typo pair: %v", ex.ObjectIDs)
 	}
 
-	pb, err := Detect(rel, Config{Blocking: 3})
+	pb, err := DetectContext(t.Context(), rel, Config{Blocking: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestQGramsRecallSurvivesDirtyPrefixes(t *testing.T) {
 		t.Fatal("prefix blocking unexpectedly found the dirty-prefix pair; fixture no longer distinguishes the strategies")
 	}
 
-	qg, err := Detect(rel, Config{QGrams: 3})
+	qg, err := DetectContext(t.Context(), rel, Config{QGrams: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,11 @@ func TestQGramsRecallSurvivesDirtyPrefixes(t *testing.T) {
 func TestQGramsReducesCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rel := randomDirtyTable(rng)
-	ex, err := Detect(rel, Config{})
+	ex, err := DetectContext(t.Context(), rel, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qg, err := Detect(rel, Config{QGrams: 4})
+	qg, err := DetectContext(t.Context(), rel, Config{QGrams: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,8 +56,8 @@ func TestPropertyFilterSoundRandom(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rel := randomDirtyTable(rng)
 		for _, th := range []float64{0.6, 0.8, 0.95} {
-			on, err1 := Detect(rel, Config{Threshold: th})
-			off, err2 := Detect(rel, Config{Threshold: th, DisableFilter: true})
+			on, err1 := DetectContext(t.Context(), rel, Config{Threshold: th})
+			off, err2 := DetectContext(t.Context(), rel, Config{Threshold: th, DisableFilter: true})
 			if err1 != nil || err2 != nil {
 				t.Fatalf("trial %d: %v / %v", trial, err1, err2)
 			}
@@ -77,7 +77,7 @@ func TestPropertyClusterInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 25; trial++ {
 		rel := randomDirtyTable(rng)
-		res, err := Detect(rel, Config{})
+		res, err := DetectContext(t.Context(), rel, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestPropertyThresholdMonotone(t *testing.T) {
 		rel := randomDirtyTable(rng)
 		prev := -1
 		for _, th := range []float64{0.5, 0.7, 0.9, 0.99} {
-			res, err := Detect(rel, Config{Threshold: th})
+			res, err := DetectContext(t.Context(), rel, Config{Threshold: th})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,7 +62,7 @@ func TestMaterializeContextPreCancelled(t *testing.T) {
 }
 
 // TestMaterializeContextComplete: an unconstrained context changes
-// nothing — the drain is identical to Materialize.
+// nothing — the drain is identical to MaterializeContext.
 func TestMaterializeContextComplete(t *testing.T) {
 	rel, err := MaterializeContext(context.Background(), "out", NewScan(people()))
 	if err != nil {

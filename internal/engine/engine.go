@@ -1,7 +1,7 @@
 // Package engine is HumMer's relational algebra substrate, replacing
 // the XXL cursor library the original Java system used. Operators are
-// pull-based (Volcano-style) iterators over rows; Materialize drains an
-// operator tree into a relation.
+// pull-based (Volcano-style) iterators over rows; MaterializeContext
+// drains an operator tree into a relation.
 //
 // The operator set covers what HumMer's pipeline needs: scan, filter,
 // project, rename, cross and hash equi-join, union, full outer union
@@ -33,13 +33,6 @@ type Operator interface {
 	Open() error
 	// Next returns the next row, or ok=false at end of input.
 	Next() (relation.Row, bool)
-}
-
-// Materialize drains op into a named relation. It is
-// MaterializeContext with a background context: it cannot be
-// cancelled.
-func Materialize(name string, op Operator) (*relation.Relation, error) {
-	return MaterializeContext(context.Background(), name, op)
 }
 
 // materializeStride is how many rows MaterializeContext drains between
@@ -367,17 +360,6 @@ func (j *HashJoin) SetParallelism(int) {}
 // exactly as for every other operator.
 func (j *HashJoin) SetSpanContext(ctx context.Context) { j.ctx = ctx }
 
-// spanCtx returns the span context installed by SetSpanContext, or a
-// background context when the join runs without tracing: the spans it
-// feeds are observability-only, and cancellation of the join itself is
-// the enclosing materialize/stream stride's job.
-func (j *HashJoin) spanCtx() context.Context {
-	if j.ctx != nil {
-		return j.ctx
-	}
-	return context.Background()
-}
-
 // Schema returns the concatenated schema.
 func (j *HashJoin) Schema() *schema.Schema { return j.out }
 
@@ -392,7 +374,10 @@ func (j *HashJoin) Open() error {
 	}
 	j.leftIdx = j.left.Schema().MustLookup(j.leftCol)
 	j.rightIdx = j.right.Schema().MustLookup(j.rightCol)
-	_, sp := obs.StartSpan(j.spanCtx(), "join.build")
+	var sp *obs.Span // stays nil without SetSpanContext; span methods accept nil
+	if j.ctx != nil {
+		_, sp = obs.StartSpan(j.ctx, "join.build")
+	}
 	var rows []relation.Row
 	for {
 		row, ok := j.right.Next()

@@ -25,7 +25,7 @@ func randomRelation(n int, seed int64) *relation.Relation {
 
 func mustMaterialize(b *testing.B, op Operator) {
 	b.Helper()
-	if _, err := Materialize("out", op); err != nil {
+	if _, err := MaterializeContext(b.Context(), "out", op); err != nil {
 		b.Fatal(err)
 	}
 }

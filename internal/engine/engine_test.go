@@ -19,7 +19,7 @@ func people() *relation.Relation {
 
 func drain(t *testing.T, op Operator) *relation.Relation {
 	t.Helper()
-	rel, err := Materialize("out", op)
+	rel, err := MaterializeContext(t.Context(), "out", op)
 	if err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestFilter(t *testing.T) {
 
 func TestFilterBindError(t *testing.T) {
 	pred := expr.NewCol("missing")
-	_, err := Materialize("x", NewFilter(NewScan(people()), pred))
+	_, err := MaterializeContext(t.Context(), "x", NewFilter(NewScan(people()), pred))
 	if err == nil {
 		t.Fatal("expected bind error")
 	}
@@ -252,7 +252,7 @@ func TestSortMultiKeyStable(t *testing.T) {
 
 func TestSortMissingColumn(t *testing.T) {
 	op := NewSort(NewScan(people()), []SortKey{{Col: "nope"}})
-	if _, err := Materialize("x", op); err == nil {
+	if _, err := MaterializeContext(t.Context(), "x", op); err == nil {
 		t.Error("sorting on missing column must fail at Open")
 	}
 }

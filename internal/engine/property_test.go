@@ -33,7 +33,7 @@ func randomTable(rng *rand.Rand, n int) *relation.Relation {
 
 func materializeOrDie(t *testing.T, op Operator) *relation.Relation {
 	t.Helper()
-	rel, err := Materialize("out", op)
+	rel, err := MaterializeContext(t.Context(), "out", op)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -103,7 +104,7 @@ func matchingTruth(renames map[string]string, attrs []string) map[string]string 
 // used (k) at three dirtiness levels, reproducing the central claim of
 // the DUMAS paper: a handful of duplicates suffices for reliable
 // matching, and more duplicates stabilize matching on dirty data.
-func E3(seed int64, entities int) *Report {
+func E3(ctx context.Context, seed int64, entities int) *Report {
 	ents := datagen.Persons.Generate(seed, entities)
 	truth := matchingTruth(personRenames, datagen.Persons.Attributes)
 	dirtLevels := []struct {
@@ -139,7 +140,7 @@ func E3(seed int64, entities int) *Report {
 	for _, k := range []int{1, 2, 3, 5, 10, 20} {
 		row := []string{fmt.Sprint(k)}
 		for d := range dirtLevels {
-			res, err := dumas.Match(pairs[d].left.Rel, pairs[d].right.Rel,
+			res, err := dumas.MatchContext(ctx, pairs[d].left.Rel, pairs[d].right.Rel,
 				dumas.Config{MaxDuplicates: k})
 			if err != nil {
 				row = append(row, "err")
@@ -163,7 +164,7 @@ func E3(seed int64, entities int) *Report {
 // E4 measures matching quality against the duplicate-overlap rate
 // between the two sources: with fewer shared entities, duplicate
 // discovery has less to work with.
-func E4(seed int64, entities int) *Report {
+func E4(ctx context.Context, seed int64, entities int) *Report {
 	rep := &Report{
 		ID:     "E4",
 		Title:  "DUMAS matching quality vs. source overlap (persons, k=10)",
@@ -184,7 +185,7 @@ func E4(seed int64, entities int) *Report {
 			Alias: "s2", Renames: personRenames, TypoRate: 0.1, Seed: seed + 2,
 		})
 		shared := len(leftEnts) + len(rightEnts) - entities
-		res, err := dumas.Match(left.Rel, right.Rel, dumas.Config{MaxDuplicates: 10})
+		res, err := dumas.MatchContext(ctx, left.Rel, right.Rel, dumas.Config{MaxDuplicates: 10})
 		if err != nil {
 			rep.Rows = append(rep.Rows, []string{f2(overlap), fmt.Sprint(shared), "err", "", ""})
 			continue
@@ -199,7 +200,7 @@ func E4(seed int64, entities int) *Report {
 
 // E5 sweeps the duplicate-detection threshold, reporting pairwise
 // precision / recall / F1 — the DogmatiX-style evaluation.
-func E5(seed int64, entities, dupesPer int) *Report {
+func E5(ctx context.Context, seed int64, entities, dupesPer int) *Report {
 	ents := datagen.Persons.Generate(seed, entities)
 	obs := datagen.DirtyTable(datagen.Persons, ents, dupesPer, datagen.SourceSpec{
 		Alias: "dirty", TypoRate: 0.15, NullRate: 0.1, NumericNoise: 0.1, Seed: seed + 3,
@@ -212,7 +213,7 @@ func E5(seed int64, entities, dupesPer int) *Report {
 		Notes:  "ground truth: each entity appears exactly " + fmt.Sprint(dupesPer) + " times",
 	}
 	for _, th := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95} {
-		res, err := dupdetect.Detect(obs.Rel, dupdetect.Config{Threshold: th})
+		res, err := dupdetect.DetectContext(ctx, obs.Rel, dupdetect.Config{Threshold: th})
 		if err != nil {
 			rep.Rows = append(rep.Rows, []string{f2(th), "err", err.Error(), "", ""})
 			continue
@@ -229,7 +230,7 @@ func E5(seed int64, entities, dupesPer int) *Report {
 // E6 measures the filter's effect (ablation D4): comparisons saved by
 // the upper bound versus any recall lost (none, since the bound is
 // sound).
-func E6(seed int64, sizes []int) *Report {
+func E6(ctx context.Context, seed int64, sizes []int) *Report {
 	rep := &Report{
 		ID:     "E6",
 		Title:  "effect of the upper-bound filter on comparisons (threshold 0.8)",
@@ -241,11 +242,11 @@ func E6(seed int64, sizes []int) *Report {
 		obs := datagen.DirtyTable(datagen.Persons, ents, 2, datagen.SourceSpec{
 			Alias: "dirty", TypoRate: 0.15, NullRate: 0.1, Seed: seed + 4,
 		})
-		on, err := dupdetect.Detect(obs.Rel, dupdetect.Config{Threshold: 0.8})
+		on, err := dupdetect.DetectContext(ctx, obs.Rel, dupdetect.Config{Threshold: 0.8})
 		if err != nil {
 			continue
 		}
-		off, err := dupdetect.Detect(obs.Rel, dupdetect.Config{Threshold: 0.8, DisableFilter: true})
+		off, err := dupdetect.DetectContext(ctx, obs.Rel, dupdetect.Config{Threshold: 0.8, DisableFilter: true})
 		if err != nil {
 			continue
 		}
@@ -330,7 +331,7 @@ func patternNames(patterns []struct {
 
 // E9 runs the three demo scenarios of §1 end-to-end and summarizes
 // each phase's output.
-func E9(seed int64) *Report {
+func E9(ctx context.Context, seed int64) *Report {
 	rep := &Report{
 		ID:     "E9",
 		Title:  "demo scenarios end-to-end (paper §1)",
@@ -379,7 +380,7 @@ func E9(seed int64) *Report {
 			inputRows += obs.Rel.Len()
 		}
 		p := &core.Pipeline{Repo: repo}
-		res, err := p.Run(aliases, core.Options{})
+		res, err := p.RunContext(ctx, aliases, core.Options{})
 		if err != nil {
 			rep.Rows = append(rep.Rows, []string{sc.name, fmt.Sprint(len(aliases)), "err: " + err.Error(), "", "", ""})
 			continue
@@ -406,7 +407,7 @@ func E9(seed int64) *Report {
 
 // E10 runs DUMAS over every THALIA heterogeneity class and reports
 // which classes instance-based matching bridges automatically.
-func E10(seed int64, courses int) *Report {
+func E10(ctx context.Context, seed int64, courses int) *Report {
 	rep := &Report{
 		ID:     "E10",
 		Title:  fmt.Sprintf("THALIA heterogeneity classes bridged by DUMAS (%d courses)", courses),
@@ -419,7 +420,7 @@ func E10(seed int64, courses int) *Report {
 		if err != nil {
 			continue
 		}
-		res, err := dumas.Match(canon, v.Rel, dumas.Config{})
+		res, err := dumas.MatchContext(ctx, canon, v.Rel, dumas.Config{})
 		if err != nil {
 			rep.Rows = append(rep.Rows, []string{fmt.Sprint(c.ID), c.Name, "err", "", "", ""})
 			continue
@@ -439,7 +440,7 @@ func E10(seed int64, courses int) *Report {
 // E11 compares sorted-neighborhood candidate generation (the
 // scalability extension) against the exhaustive pairing: comparisons
 // performed and pairwise F1, per window size.
-func E11(seed int64, entities, dupesPer int) *Report {
+func E11(ctx context.Context, seed int64, entities, dupesPer int) *Report {
 	ents := datagen.Persons.Generate(seed, entities)
 	obs := datagen.DirtyTable(datagen.Persons, ents, dupesPer, datagen.SourceSpec{
 		Alias: "dirty", TypoRate: 0.15, NullRate: 0.1, Seed: seed + 5,
@@ -451,7 +452,7 @@ func E11(seed int64, entities, dupesPer int) *Report {
 		Notes:  "SNM trades recall on far-sorting duplicates for near-linear cost",
 	}
 	runOne := func(label string, cfg dupdetect.Config) {
-		res, err := dupdetect.Detect(obs.Rel, cfg)
+		res, err := dupdetect.DetectContext(ctx, obs.Rel, cfg)
 		if err != nil {
 			return
 		}
@@ -468,25 +469,26 @@ func E11(seed int64, entities, dupesPer int) *Report {
 	return rep
 }
 
-// ByID returns the named experiment (case-insensitive), or nil.
-func ByID(id string, seed int64) *Report {
+// ByID runs the named experiment (case-insensitive) under ctx, or
+// returns nil for an unknown id.
+func ByID(ctx context.Context, id string, seed int64) *Report {
 	switch strings.ToLower(id) {
 	case "e3":
-		return E3(seed, 200)
+		return E3(ctx, seed, 200)
 	case "e4":
-		return E4(seed, 200)
+		return E4(ctx, seed, 200)
 	case "e5":
-		return E5(seed, 80, 3)
+		return E5(ctx, seed, 80, 3)
 	case "e6":
-		return E6(seed, []int{100, 200, 400})
+		return E6(ctx, seed, []int{100, 200, 400})
 	case "e7":
 		return E7()
 	case "e9":
-		return E9(seed)
+		return E9(ctx, seed)
 	case "e10":
-		return E10(seed, 60)
+		return E10(ctx, seed, 60)
 	case "e11":
-		return E11(seed, 80, 3)
+		return E11(ctx, seed, 80, 3)
 	default:
 		return nil
 	}

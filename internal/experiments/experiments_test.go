@@ -9,7 +9,7 @@ import (
 // qualitative shapes the paper claims, not absolute numbers.
 
 func TestE3ShapeKCurve(t *testing.T) {
-	rep := E3(7, 120)
+	rep := E3(t.Context(), 7, 120)
 	if len(rep.Rows) != 7 { // 6 k-values + naive
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -22,7 +22,7 @@ func TestE3ShapeKCurve(t *testing.T) {
 }
 
 func TestE4AllOverlapsScored(t *testing.T) {
-	rep := E4(7, 120)
+	rep := E4(t.Context(), 7, 120)
 	if len(rep.Rows) != 5 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -34,7 +34,7 @@ func TestE4AllOverlapsScored(t *testing.T) {
 }
 
 func TestE5PrecisionRisesWithThreshold(t *testing.T) {
-	rep := E5(7, 40, 3)
+	rep := E5(t.Context(), 7, 40, 3)
 	if len(rep.Rows) < 4 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -52,7 +52,7 @@ func TestE5PrecisionRisesWithThreshold(t *testing.T) {
 }
 
 func TestE6FilterSoundness(t *testing.T) {
-	rep := E6(7, []int{60, 120})
+	rep := E6(t.Context(), 7, []int{60, 120})
 	if len(rep.Rows) != 2 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -98,7 +98,7 @@ func TestE7MatrixComplete(t *testing.T) {
 }
 
 func TestE9AllScenariosRun(t *testing.T) {
-	rep := E9(7)
+	rep := E9(t.Context(), 7)
 	if len(rep.Rows) != 3 {
 		t.Fatalf("scenarios = %d", len(rep.Rows))
 	}
@@ -113,7 +113,7 @@ func TestE9AllScenariosRun(t *testing.T) {
 }
 
 func TestE10CoversAllTwelveClasses(t *testing.T) {
-	rep := E10(7, 40)
+	rep := E10(t.Context(), 7, 40)
 	if len(rep.Rows) != 12 {
 		t.Fatalf("classes = %d, want 12", len(rep.Rows))
 	}
@@ -141,14 +141,14 @@ func TestE10CoversAllTwelveClasses(t *testing.T) {
 
 func TestByIDAndIDs(t *testing.T) {
 	for _, id := range IDs() {
-		if ByID(id, 7) == nil {
-			t.Errorf("ByID(%q) = nil", id)
+		if ByID(t.Context(), id, 7) == nil {
+			t.Errorf("ByID(t.Context(), %q) = nil", id)
 		}
-		if ByID(strings.ToUpper(id), 7) == nil {
+		if ByID(t.Context(), strings.ToUpper(id), 7) == nil {
 			t.Errorf("ByID must be case-insensitive for %q", id)
 		}
 	}
-	if ByID("e99", 7) != nil {
+	if ByID(t.Context(), "e99", 7) != nil {
 		t.Error("unknown id must return nil")
 	}
 }

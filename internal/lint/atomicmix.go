@@ -1,179 +1,19 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/types"
 
-// runAtomicMix enforces the sync/atomic mixing rule: once any code
-// accesses a variable or struct field through the sync/atomic
-// functions (atomic.AddInt64(&x.n, 1), ...), every other access to it
-// must be atomic too — a single plain load or store next to atomic
-// ones is a data race the race detector only catches when the
-// interleaving happens to bite. The typed atomics (atomic.Int64 et
-// al.) are immune by construction and are the preferred fix.
-//
-// The analysis is whole-program across the loaded packages: pass one
-// records every &operand of a sync/atomic call (struct fields keyed by
-// their named owner type, package-level variables by path), pass two
-// flags any other read, write, or address-take of the same variable —
-// including composite-literal keys: construction should rely on the
-// zero value or an atomic store, because "not shared yet" is exactly
-// the assumption that rots when code moves.
+// runAtomicMix bans the function-style sync/atomic API: a variable
+// updated through atomic.AddInt64(&x, 1) can still be read or written
+// plainly elsewhere, a race the detector sees only when it bites. The
+// typed atomics (atomic.Int64, …) admit no plain access at all.
 func runAtomicMix(p *prog) []Finding {
-	touched := map[string]token.Position{} // key -> first atomic site
-	sanctioned := map[token.Pos]bool{}     // operand positions inside atomic calls
-
-	for _, pkg := range p.pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeFunc(pkg.Info, call)
-				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || len(call.Args) == 0 {
-					return true
-				}
-				un, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					return true
-				}
-				target := ast.Unparen(un.X)
-				if key, pos, ok := p.atomicTargetKey(pkg, target); ok {
-					if _, dup := touched[key]; !dup {
-						touched[key] = p.fset.Position(call.Pos())
-					}
-					sanctioned[pos] = true
-				}
-				return true
-			})
-		}
-	}
-	if len(touched) == 0 {
-		return nil
-	}
-
 	var out []Finding
 	for _, pkg := range p.pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					key, pos, ok := p.atomicTargetKey(pkg, n)
-					if !ok || sanctioned[pos] {
-						return true
-					}
-					if first, hit := touched[key]; hit {
-						out = append(out, p.finding(n.Pos(), "atomicmix",
-							"non-atomic access to %s, which is accessed via sync/atomic (first at %s:%d); use the atomic API everywhere or migrate to a typed atomic",
-							key, first.Filename, first.Line))
-					}
-				case *ast.Ident:
-					key, pos, ok := p.atomicTargetKey(pkg, n)
-					if !ok || sanctioned[pos] {
-						return true
-					}
-					if first, hit := touched[key]; hit {
-						out = append(out, p.finding(n.Pos(), "atomicmix",
-							"non-atomic access to %s, which is accessed via sync/atomic (first at %s:%d); use the atomic API everywhere or migrate to a typed atomic",
-							key, first.Filename, first.Line))
-					}
-				case *ast.CompositeLit:
-					out = append(out, p.atomicCompositeKeys(pkg, n, touched)...)
-				}
-				return true
-			})
+		for id, obj := range pkg.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Signature().Recv() == nil {
+				out = append(out, p.finding(id.Pos(), "atomicmix", "atomic.%s: use a typed atomic (atomic.Int64, …)", fn.Name()))
+			}
 		}
 	}
 	return out
-}
-
-// atomicTargetKey renders a stable cross-package key for an atomic
-// operand: "pkg/path.Type.field" for fields of named structs reached
-// through a selector, "pkg/path.name" for package-level variables
-// reached through a bare identifier. Local variables and fields of
-// unnamed types return ok=false — a local can only race with itself
-// within one function, where the pattern is visible in review.
-func (p *prog) atomicTargetKey(pkg *Pkg, e ast.Expr) (key string, pos token.Pos, ok bool) {
-	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		selInfo := pkg.Info.Selections[e]
-		if selInfo == nil || selInfo.Kind() != types.FieldVal {
-			return "", 0, false
-		}
-		v, okVar := selInfo.Obj().(*types.Var)
-		if !okVar || v.Pkg() == nil {
-			return "", 0, false
-		}
-		owner := namedOf(selInfo.Recv())
-		if owner == nil {
-			return "", 0, false
-		}
-		return v.Pkg().Path() + "." + owner.Obj().Name() + "." + v.Name(), e.Sel.Pos(), true
-	case *ast.Ident:
-		v, okVar := pkg.Info.Uses[e].(*types.Var)
-		if !okVar || v.Pkg() == nil || v.IsField() {
-			return "", 0, false
-		}
-		// Package-level variables only: Parent of a package var is the
-		// package scope.
-		if v.Parent() != v.Pkg().Scope() {
-			return "", 0, false
-		}
-		return v.Pkg().Path() + "." + v.Name(), e.Pos(), true
-	}
-	return "", 0, false
-}
-
-// atomicCompositeKeys flags initialization of an atomic field through
-// a composite literal key.
-func (p *prog) atomicCompositeKeys(pkg *Pkg, cl *ast.CompositeLit, touched map[string]token.Position) []Finding {
-	t := pkg.Info.TypeOf(cl)
-	if t == nil {
-		return nil
-	}
-	owner := namedOf(t)
-	if owner == nil {
-		return nil
-	}
-	var out []Finding
-	for _, el := range cl.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		id, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		v, ok := pkg.Info.Uses[id].(*types.Var)
-		if !ok || !v.IsField() || v.Pkg() == nil {
-			continue
-		}
-		key := v.Pkg().Path() + "." + owner.Obj().Name() + "." + v.Name()
-		if first, hit := touched[key]; hit {
-			out = append(out, p.finding(kv.Pos(), "atomicmix",
-				"composite-literal write to %s, which is accessed via sync/atomic (first at %s:%d); rely on the zero value or store atomically after construction",
-				key, first.Filename, first.Line))
-		}
-	}
-	return out
-}
-
-// namedOf unwraps pointers to the named type underneath, or nil.
-func namedOf(t types.Type) *types.Named {
-	for {
-		switch tt := t.(type) {
-		case *types.Pointer:
-			t = tt.Elem()
-		case *types.Named:
-			return tt
-		case *types.Alias:
-			t = types.Unalias(tt)
-		default:
-			return nil
-		}
-	}
 }

@@ -55,9 +55,6 @@ func runContainment(p *prog) []Finding {
 				if !ok {
 					return true
 				}
-				if inList(p.cfg.ContainmentAllow, funcKey(pkg.ImportPath, enclosingDecl(f, gs.Pos()))) {
-					return true
-				}
 				if msg := goStmtUncontained(pkg, gs, decls); msg != "" {
 					out = append(out, p.finding(gs.Pos(), "containment", "%s", msg))
 				}

@@ -10,12 +10,13 @@ import (
 // cancellable end to end:
 //
 //   - context.Background() and context.TODO() are banned outside
-//     package main, tests (never loaded), documented shims and the
-//     Config.CtxAllow list. A documented shim is a function whose doc
-//     comment contains the phrase "background context" — the repo
-//     idiom: "It is QueryContext with a background context: it cannot
-//     be cancelled." The doc is the contract: a caller reading it
-//     knows cancellation stops there.
+//     package main, tests (never loaded) and documented shims. A
+//     documented shim is a function whose doc comment contains the
+//     phrase "background context" — the repo idiom: "It is
+//     QueryContext with a background context: it cannot be
+//     cancelled." The doc is the contract: a caller reading it knows
+//     cancellation stops there. TestBackgroundContextSites pins the
+//     set of shims, so a new one is a reviewed edit.
 //   - an exported function or method whose name ends in Context and
 //     whose first parameter is a context.Context must actually use
 //     that parameter. Accepting a ctx and dropping it advertises
@@ -50,18 +51,12 @@ func ctxBackground(p *prog, pkg *Pkg, f *ast.File) []Finding {
 		default:
 			return true
 		}
-		fd := enclosingDecl(f, call.Pos())
-		if fd != nil {
-			if inList(p.cfg.CtxAllow, funcKey(pkg.ImportPath, fd)) {
+		// Fold line wraps before matching: the shim phrase may break
+		// across comment lines.
+		if fd := enclosingDecl(f, call.Pos()); fd != nil && fd.Doc != nil {
+			doc := strings.ToLower(strings.Join(strings.Fields(fd.Doc.Text()), " "))
+			if strings.Contains(doc, "background context") {
 				return true
-			}
-			// Fold line wraps before matching: the shim phrase may
-			// break across comment lines.
-			if fd.Doc != nil {
-				doc := strings.ToLower(strings.Join(strings.Fields(fd.Doc.Text()), " "))
-				if strings.Contains(doc, "background context") {
-					return true
-				}
 			}
 		}
 		out = append(out, p.finding(call.Pos(), "ctx",

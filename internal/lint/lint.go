@@ -14,8 +14,9 @@
 //   - ctx-discipline: cancellation threads end to end — no
 //     context.Background() smuggled into library code, and exported
 //     ...Context functions really use their ctx;
-//   - atomic-mix: a field accessed via sync/atomic anywhere is never
-//     touched non-atomically elsewhere;
+//   - atomic-mix: shared counters and flags use the typed atomics
+//     (atomic.Int64, …), never the function-style sync/atomic API, so
+//     a plain access next to an atomic one cannot be written;
 //   - error-wrapping: cross-package error returns wrap with %w (or a
 //     typed error), never flatten with %v.
 //
@@ -52,7 +53,7 @@ func (f Finding) String() string {
 }
 
 // Config scopes the analyzers to the packages whose contracts they
-// encode and carries the allowlists.
+// encode.
 type Config struct {
 	// DeterministicPkgs are the import paths under the byte-identity
 	// contract: no map-order leaks, no wall clock, no unseeded RNG.
@@ -60,12 +61,6 @@ type Config struct {
 	// ErrWrapPkgs are the import paths whose cross-package error
 	// returns must wrap (%w or typed), never flatten (%v).
 	ErrWrapPkgs []string
-	// ContainmentAllow lists functions ("import/path.FuncName") whose
-	// go statements are exempt from the containment rule.
-	ContainmentAllow []string
-	// CtxAllow lists functions ("import/path.FuncName") allowed to
-	// mint context.Background()/TODO() without a shim doc comment.
-	CtxAllow []string
 }
 
 // DefaultConfig returns the repo's real contract scopes.
@@ -116,7 +111,7 @@ func Analyzers() []*Analyzer {
 		},
 		{
 			Name: "atomicmix",
-			Doc:  "a variable or struct field accessed through sync/atomic anywhere is never read, written or address-taken non-atomically elsewhere",
+			Doc:  "no function-style sync/atomic calls (atomic.AddInt64(&x, 1), …): a typed atomic (atomic.Int64, …) makes a plain access next to an atomic one impossible",
 			run:  runAtomicMix,
 		},
 		{
@@ -241,15 +236,6 @@ func enclosingDecl(file *ast.File, pos token.Pos) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-// funcKey renders the allowlist key for a declaration:
-// "import/path.FuncName".
-func funcKey(pkgPath string, fd *ast.FuncDecl) string {
-	if fd == nil {
-		return ""
-	}
-	return pkgPath + "." + fd.Name.Name
 }
 
 func inList(list []string, s string) bool {

@@ -151,28 +151,6 @@ func TestSuppressFixture(t *testing.T) {
 	}
 }
 
-func TestConfigAllowlists(t *testing.T) {
-	loader, err := moduleLoader()
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	pkgs, err := loader.Load("./internal/lint/testdata/src/containment", "./internal/lint/testdata/src/ctx")
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	cfg := DefaultConfig()
-	cfg.ContainmentAllow = []string{"hummer/internal/lint/testdata/src/containment.BadLiteral"}
-	cfg.CtxAllow = []string{"hummer/internal/lint/testdata/src/ctx.Bad"}
-	for _, f := range Run(loader.Fset(), pkgs, cfg) {
-		if strings.Contains(f.Msg, "BadLiteral") {
-			t.Errorf("ContainmentAllow did not exempt BadLiteral: %s", f)
-		}
-		if f.Rule == "ctx" && f.Pos.Line <= 8 && strings.HasSuffix(f.Pos.Filename, "ctx.go") {
-			t.Errorf("CtxAllow did not exempt Bad: %s", f)
-		}
-	}
-}
-
 func TestFormatVerbs(t *testing.T) {
 	cases := []struct {
 		format string

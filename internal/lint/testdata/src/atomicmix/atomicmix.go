@@ -1,4 +1,4 @@
-// Package atomicmix is a lint fixture for the sync/atomic mixing rule.
+// Package atomicmix is a lint fixture for the function-style atomic ban.
 package atomicmix
 
 import "sync/atomic"
@@ -6,48 +6,12 @@ import "sync/atomic"
 type Counter struct {
 	n    int64
 	safe atomic.Int64
-	cold int64
 }
 
-func (c *Counter) Inc() {
-	atomic.AddInt64(&c.n, 1)
+func (c *Counter) Bad() {
+	atomic.AddInt64(&c.n, 1) // want `\[hummer/atomicmix\] atomic.AddInt64: use a typed atomic`
 }
 
-func (c *Counter) BadRead() int64 {
-	return c.n // want `\[hummer/atomicmix\] non-atomic access to hummer/internal/lint/testdata/src/atomicmix.Counter.n`
-}
-
-func (c *Counter) BadWrite() {
-	c.n = 0 // want `\[hummer/atomicmix\] non-atomic access to hummer/internal/lint/testdata/src/atomicmix.Counter.n`
-}
-
-func (c *Counter) GoodRead() int64 {
-	return atomic.LoadInt64(&c.n)
-}
-
-func (c *Counter) GoodTyped() int64 {
-	return c.safe.Load()
-}
-
-func (c *Counter) GoodCold() int64 {
-	c.cold++
-	return c.cold
-}
-
-func BadLiteral() *Counter {
-	return &Counter{n: 1} // want `\[hummer/atomicmix\] composite-literal write to hummer/internal/lint/testdata/src/atomicmix.Counter.n`
-}
-
-func GoodZeroLiteral() *Counter {
-	return &Counter{cold: 1}
-}
-
-var global int64
-
-func IncGlobal() {
-	atomic.AddInt64(&global, 1)
-}
-
-func BadGlobal() int64 {
-	return global // want `\[hummer/atomicmix\] non-atomic access to hummer/internal/lint/testdata/src/atomicmix.global`
+func (c *Counter) Good() int64 {
+	return c.safe.Add(1)
 }

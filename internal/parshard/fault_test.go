@@ -139,7 +139,7 @@ func TestRunRePanicsContainedFault(t *testing.T) {
 }
 
 // TestRangesPanicContained: shard panics become errors from
-// RangesContext and re-panics from Ranges.
+// RangesContext.
 func TestRangesPanicContained(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		err := RangesContext(context.Background(), workers, 100, func(shard, lo, hi int) {
@@ -154,20 +154,6 @@ func TestRangesPanicContained(t *testing.T) {
 		if ie.Site != faultinject.SiteParshardRange {
 			t.Errorf("workers=%d: Site = %q, want %q", workers, ie.Site, faultinject.SiteParshardRange)
 		}
-	}
-
-	err := func() (err error) {
-		defer fault.Capture("test.outer", &err)
-		Ranges(4, 100, func(shard, lo, hi int) {
-			if lo <= 50 && 50 < hi {
-				panic("shard boom")
-			}
-		})
-		return nil
-	}()
-	var ie *fault.InternalError
-	if !errors.As(err, &ie) {
-		t.Fatalf("Ranges: err = %v (%T), want re-panicked *InternalError", err, err)
 	}
 }
 

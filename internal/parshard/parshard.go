@@ -10,21 +10,22 @@
 // be byte-identical at every worker count. parshard encodes the two
 // patterns that make this cheap to guarantee:
 //
-//   - Run consumes a generator that streams work items in a canonical
-//     order fixed by the caller (row-major pairs, sorted block keys,
-//     …). The stream is cut into fixed-size chunks; chunk boundaries
-//     and within-chunk order are functions of the canonical order
-//     alone, so after workers process chunks concurrently the chunk
-//     results can be folded back in chunk-index order, restoring
+//   - RunContext consumes a generator that streams work items in a
+//     canonical order fixed by the caller (row-major pairs, sorted
+//     block keys, …). The stream is cut into fixed-size chunks; chunk
+//     boundaries and within-chunk order are functions of the canonical
+//     order alone, so after workers process chunks concurrently the
+//     chunk results can be folded back in chunk-index order, restoring
 //     exactly the sequential output — including the order of any
 //     slices the chunks append to and the floating-point accumulation
-//     order of any sums.
+//     order of any sums. Run is RunContext with a background context.
 //
-//   - Ranges splits a [0, n) index space into contiguous shards, one
-//     per worker. Callers must write only shard-local or per-index
-//     state inside the callback; cross-shard reductions are returned
-//     per shard and folded by the caller in shard order (or must be
-//     order-insensitive, like integer counts, set unions, min/max).
+//   - RangesContext splits a [0, n) index space into contiguous
+//     shards, one per worker. Callers must write only shard-local or
+//     per-index state inside the callback; cross-shard reductions are
+//     returned per shard and folded by the caller in shard order (or
+//     must be order-insensitive, like integer counts, set unions,
+//     min/max).
 //
 // Anything order-sensitive (float accumulation, slice append) must
 // happen either per item/cell or in the deterministic fold — never
@@ -47,9 +48,9 @@
 // shards of RangesContext — recovers panics at its boundary and
 // converts them into a *fault.InternalError returned from the call;
 // the run aborts exactly like a cancellation (drain, join, no partial
-// result) and the process survives. Run and Ranges, which have no
-// error return, re-panic the already-contained error so the next
-// boundary up re-recovers the same value without double-counting.
+// result) and the process survives. Run, which has no error return,
+// re-panics the already-contained error so the next boundary up
+// re-recovers the same value without double-counting.
 package parshard
 
 import (
@@ -340,31 +341,22 @@ func RunContext[T, R any](ctx context.Context, workers, chunkSize int, gen Gen[T
 	return merged, nil
 }
 
-// Ranges splits [0, n) into at most `workers` contiguous, near-equal
-// shards and runs fn concurrently, once per shard, waiting for all to
-// finish. fn receives the shard index (0-based, in range order) and
-// the half-open [lo, hi) bounds. With workers <= 1 (or n too small to
-// split) fn runs inline exactly once with the full range.
+// RangesContext splits [0, n) into at most `workers` contiguous,
+// near-equal shards and runs fn concurrently, once per shard, waiting
+// for all to finish. fn receives the shard index (0-based, in range
+// order) and the half-open [lo, hi) bounds. With workers <= 1 (or n
+// too small to split) fn runs inline exactly once with the full range.
 //
 // Determinism contract: fn must only write per-index state (slots
 // [lo, hi) of shared slices) or shard-local state keyed by the shard
 // index; the caller folds any shard-local reductions afterwards, in
 // shard order.
-// A fault contained inside a shard is re-panicked across this
-// error-less API (already a *fault.InternalError, so the next recovery
-// boundary passes it through unchanged). It is RangesContext with a
-// background context: it cannot be cancelled.
-func Ranges(workers, n int, fn func(shard, lo, hi int)) {
-	if err := RangesContext(context.Background(), workers, n, fn); err != nil {
-		panic(fault.NewInternal(faultinject.SiteParshardRange, err))
-	}
-}
-
-// RangesContext is Ranges with cooperative cancellation: the context
-// is checked before dispatch, and fn should additionally poll
-// Canceled(ctx) inside long per-row loops and bail early. Every shard
-// goroutine is joined before the call returns; when it returns a
-// non-nil error the caller must discard whatever the shards wrote.
+//
+// Cancellation: the context is checked before dispatch, and fn should
+// additionally poll Canceled(ctx) inside long per-row loops and bail
+// early. Every shard goroutine is joined before the call returns; when
+// it returns a non-nil error the caller must discard whatever the
+// shards wrote.
 func RangesContext(ctx context.Context, workers, n int, fn func(shard, lo, hi int)) error {
 	if n <= 0 {
 		return ctx.Err()

@@ -106,11 +106,13 @@ func TestRangesCoverage(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 1001} {
 		for _, w := range []int{1, 2, 3, 8, 200} {
 			seen := make([]int32, n)
-			Ranges(w, n, func(shard, lo, hi int) {
+			if err := RangesContext(t.Context(), w, n, func(shard, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&seen[i], 1)
 				}
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			for i, c := range seen {
 				if c != 1 {
 					t.Fatalf("n=%d w=%d: index %d covered %d times", n, w, i, c)
@@ -126,10 +128,12 @@ func TestRangesShardIndexes(t *testing.T) {
 	n, w := 100, 4
 	los := make([]int, w)
 	his := make([]int, w)
-	Ranges(w, n, func(shard, lo, hi int) {
+	if err := RangesContext(t.Context(), w, n, func(shard, lo, hi int) {
 		los[shard] = lo
 		his[shard] = hi
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	prev := 0
 	for s := 0; s < w; s++ {
 		if los[s] != prev {

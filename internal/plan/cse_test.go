@@ -26,7 +26,7 @@ func TestCSESharesSourceSubtree(t *testing.T) {
 		"SELECT cust, count(*) AS n FROM orders JOIN custs ON cust = cname WHERE qty > 1 GROUP BY cust",
 	}
 	for _, q := range queries {
-		if _, err := e.Query(q); err != nil {
+		if _, err := e.QueryContext(t.Context(), q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
@@ -50,7 +50,7 @@ func TestCSEKeySeparatesSubtrees(t *testing.T) {
 		"SELECT oid FROM orders WHERE qty > 2",
 		"SELECT oid FROM orders JOIN custs ON cust = cname WHERE qty > 1",
 	} {
-		if _, err := e.Query(q); err != nil {
+		if _, err := e.QueryContext(t.Context(), q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
@@ -66,7 +66,7 @@ func TestCSEKeySeparatesSubtrees(t *testing.T) {
 func TestCSEIneligibleBareScan(t *testing.T) {
 	e := testExecutor(t)
 	e.Cache = qcache.New(0)
-	if _, err := e.Query("SELECT oid FROM orders ORDER BY oid"); err != nil {
+	if _, err := e.QueryContext(t.Context(), "SELECT oid FROM orders ORDER BY oid"); err != nil {
 		t.Fatal(err)
 	}
 	ks := cseStats(e)
@@ -83,11 +83,11 @@ func TestCSESameStatementReuse(t *testing.T) {
 	e := testExecutor(t)
 	e.Cache = qcache.New(0)
 	const q = "SELECT oid, qty FROM orders WHERE qty > 1"
-	a, err := e.Query(q)
+	a, err := e.QueryContext(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Query(q)
+	b, err := e.QueryContext(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestCSEPurgeDropsSharing(t *testing.T) {
 	e := testExecutor(t)
 	e.Cache = qcache.New(0)
 	const q = "SELECT oid FROM orders WHERE qty > 1"
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.QueryContext(t.Context(), q); err != nil {
 		t.Fatal(err)
 	}
 	e.Cache.Purge()
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.QueryContext(t.Context(), q); err != nil {
 		t.Fatal(err)
 	}
 	if ks := cseStats(e); ks.Misses != 2 {
@@ -125,7 +125,7 @@ func TestCSEConcurrentSingleflight(t *testing.T) {
 	e := testExecutor(t)
 	e.Cache = qcache.New(0)
 	const q = "SELECT oid, city FROM orders JOIN custs ON cust = cname WHERE qty > 0 ORDER BY oid"
-	want, err := e.Query(q)
+	want, err := e.QueryContext(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCSEConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := e.Query(q)
+			res, err := e.QueryContext(t.Context(), q)
 			if err != nil {
 				errs[i] = err
 				return
@@ -192,7 +192,7 @@ func TestCSETierRefusesStaleGenerations(t *testing.T) {
 	e := &Executor{Repo: repo, Cache: qcache.New(8)}
 	firstCity := func() string {
 		t.Helper()
-		res, err := e.Query(q)
+		res, err := e.QueryContext(t.Context(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

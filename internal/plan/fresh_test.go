@@ -101,12 +101,12 @@ func warmAllocs(t *testing.T, q string, kind qcache.Kind) float64 {
 	}
 	e := testExecutor(t)
 	e.Cache = qcache.New(0)
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.QueryContext(t.Context(), q); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Cache.Stats().Kinds[kind].Hits
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := e.Query(q); err != nil {
+		if _, err := e.QueryContext(t.Context(), q); err != nil {
 			t.Fatal(err)
 		}
 	})

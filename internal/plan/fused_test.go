@@ -45,14 +45,14 @@ func TestFusedTierKeyedByRawText(t *testing.T) {
 	// ...vs two select items — Stmt.String() renders both identically.
 	q2 := `SELECT Name AS Age, City FUSE FROM EE_Student, CS_Students FUSE BY (Name)`
 
-	r1, err := e.Query(q1)
+	r1, err := e.QueryContext(t.Context(), q1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r1.Rel.Schema().Names(); len(got) != 1 {
 		t.Fatalf("q1 columns = %v, want the single quoted-alias column", got)
 	}
-	r2, err := e.Query(q2)
+	r2, err := e.QueryContext(t.Context(), q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFusedTierRefusesStaleGenerations(t *testing.T) {
 	// installs v2 mid-flight), then the pipeline loads and fuses v2.
 	// The result reflects v2 — correct to serve — but must not be
 	// cached under v1's fingerprint.
-	res, err := e.Query(q)
+	res, err := e.QueryContext(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFusedTierRefusesStaleGenerations(t *testing.T) {
 	if err := repo.Replace(metadata.NewRelationSource("R", mk("Jonathan Smith", "22"))); err != nil {
 		t.Fatal(err)
 	}
-	res, err = e.Query(q)
+	res, err = e.QueryContext(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFusedTierRefusesStaleGenerations(t *testing.T) {
 	}
 
 	// And from here on the tier behaves normally: identical query hits.
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.QueryContext(t.Context(), q); err != nil {
 		t.Fatal(err)
 	}
 	fs = e.Cache.Stats().Kinds[qcache.KindFused]

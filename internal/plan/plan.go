@@ -128,12 +128,6 @@ type Executor struct {
 // megabytes of query text per cache slot.
 const maxCachedPlanBytes = 8 << 10
 
-// Query parses and executes one statement. It is QueryContext with a
-// background context: it cannot be cancelled.
-func (e *Executor) Query(q string) (*QueryResult, error) {
-	return e.QueryContext(context.Background(), q)
-}
-
 // QueryContext parses and executes one statement, honoring ctx through
 // every pipeline phase. With a Cache installed the parse result is
 // cached by query text (statements small enough to be worth
@@ -176,12 +170,6 @@ func (e *Executor) parse(ctx context.Context, q string) (*sql.Stmt, error) {
 		return v.(*sql.Stmt).Clone(), nil
 	}
 	return sql.Parse(q)
-}
-
-// Execute runs a parsed statement. It is ExecuteContext with a
-// background context: it cannot be cancelled.
-func (e *Executor) Execute(stmt *sql.Stmt) (*QueryResult, error) {
-	return e.ExecuteContext(context.Background(), stmt)
 }
 
 // ExecuteContext runs a parsed statement, honoring ctx: fusion
@@ -275,7 +263,7 @@ func (e *Executor) executeFusion(ctx context.Context, stmt *sql.Stmt, raw string
 	// pipeline intermediates — trace is opt-in per query, and a
 	// tracing query (ExecOptions.Trace) bypasses the tier entirely so
 	// a slim entry is never asked to satisfy it. Statements without
-	// source text (direct Execute) and oversized texts also bypass the
+	// source text (direct ExecuteContext) and oversized texts also bypass the
 	// tier, as do wizard hooks, which can rewrite any intermediate
 	// non-deterministically (the per-artifact tiers below still
 	// apply). Fingerprinting can fail on an unknown alias — fall

@@ -44,7 +44,7 @@ func testExecutor(t *testing.T) *Executor {
 
 func TestPaperQueryEndToEnd(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query(`
+	res, err := e.QueryContext(t.Context(), `
 		SELECT Name, RESOLVE(Age, max)
 		FUSE FROM EE_Student, CS_Students
 		FUSE BY (Name)`)
@@ -71,7 +71,7 @@ func TestPaperQueryEndToEnd(t *testing.T) {
 
 func TestFuseStarSelectsAllSourceAttributes(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query("SELECT * FUSE FROM EE_Student, CS_Students FUSE BY (Name)")
+	res, err := e.QueryContext(t.Context(), "SELECT * FUSE FROM EE_Student, CS_Students FUSE BY (Name)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFuseStarSelectsAllSourceAttributes(t *testing.T) {
 
 func TestFuseWhereFiltersBeforeGrouping(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query(`
+	res, err := e.QueryContext(t.Context(), `
 		SELECT Name, RESOLVE(Age, max)
 		FUSE FROM EE_Student, CS_Students
 		WHERE Age >= 22
@@ -105,7 +105,7 @@ func TestFuseWhereFiltersBeforeGrouping(t *testing.T) {
 
 func TestFuseHavingOrderLimit(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query(`
+	res, err := e.QueryContext(t.Context(), `
 		SELECT Name, RESOLVE(Age, max)
 		FUSE FROM EE_Student, CS_Students
 		FUSE BY (Name)
@@ -128,7 +128,7 @@ func TestFuseHavingOrderLimit(t *testing.T) {
 
 func TestFuseAliasRenamesOutput(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query(`SELECT Name AS Student, RESOLVE(Age, max) AS MaxAge
+	res, err := e.QueryContext(t.Context(), `SELECT Name AS Student, RESOLVE(Age, max) AS MaxAge
 		FUSE FROM EE_Student, CS_Students FUSE BY (Name)`)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestFuseAliasRenamesOutput(t *testing.T) {
 
 func TestResolveChooseSource(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query(`SELECT Name, RESOLVE(Age, choose('CS_Students'))
+	res, err := e.QueryContext(t.Context(), `SELECT Name, RESOLVE(Age, choose('CS_Students'))
 		FUSE FROM EE_Student, CS_Students FUSE BY (Name)`)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestResolveChooseSource(t *testing.T) {
 
 func TestPlainSelectWhereOrder(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query("SELECT Name, Age FROM EE_Student WHERE Age > 21 ORDER BY Age DESC")
+	res, err := e.QueryContext(t.Context(), "SELECT Name, Age FROM EE_Student WHERE Age > 21 ORDER BY Age DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPlainSelectWhereOrder(t *testing.T) {
 
 func TestPlainGroupBy(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query("SELECT cust, count(*) AS n, sum(qty) AS total FROM orders GROUP BY cust ORDER BY cust")
+	res, err := e.QueryContext(t.Context(), "SELECT cust, count(*) AS n, sum(qty) AS total FROM orders GROUP BY cust ORDER BY cust")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestPlainGroupBy(t *testing.T) {
 
 func TestPlainJoin(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query("SELECT oid, city FROM orders JOIN custs ON cust = cname ORDER BY oid")
+	res, err := e.QueryContext(t.Context(), "SELECT oid, city FROM orders JOIN custs ON cust = cname ORDER BY oid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +207,14 @@ func TestPlainJoin(t *testing.T) {
 
 func TestPlainDistinctAndLimit(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query("SELECT DISTINCT cust FROM orders")
+	res, err := e.QueryContext(t.Context(), "SELECT DISTINCT cust FROM orders")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rel.Len() != 2 {
 		t.Fatalf("distinct rows = %d", res.Rel.Len())
 	}
-	res, err = e.Query("SELECT oid FROM orders LIMIT 1")
+	res, err = e.QueryContext(t.Context(), "SELECT oid FROM orders LIMIT 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPlainDistinctAndLimit(t *testing.T) {
 
 func TestPlainStar(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query("SELECT * FROM orders")
+	res, err := e.QueryContext(t.Context(), "SELECT * FROM orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestErrorCases(t *testing.T) {
 		"having on unknown column": "SELECT Name FUSE FROM EE_Student FUSE BY (Name) HAVING ghost > 1",
 	}
 	for label, q := range cases {
-		if _, err := e.Query(q); err == nil {
+		if _, err := e.QueryContext(t.Context(), q); err == nil {
 			t.Errorf("%s: query %q succeeded, want error", label, q)
 		}
 	}
@@ -256,7 +256,7 @@ func TestErrorCases(t *testing.T) {
 
 func TestSyntaxErrorSurfaces(t *testing.T) {
 	e := testExecutor(t)
-	_, err := e.Query("SELEC nonsense")
+	_, err := e.QueryContext(t.Context(), "SELEC nonsense")
 	if err == nil || !strings.Contains(err.Error(), "sql") {
 		t.Errorf("err = %v", err)
 	}
@@ -264,7 +264,7 @@ func TestSyntaxErrorSurfaces(t *testing.T) {
 
 func TestCrossProductPlainFrom(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query("SELECT oid, cname FROM orders, custs")
+	res, err := e.QueryContext(t.Context(), "SELECT oid, cname FROM orders, custs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestFuseSingleSourceDeduplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Executor{Repo: repo}
-	res, err := e.Query("SELECT * FUSE FROM upload FUSE BY (Name)")
+	res, err := e.QueryContext(t.Context(), "SELECT * FUSE FROM upload FUSE BY (Name)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestFuseSingleSourceDeduplication(t *testing.T) {
 
 func TestPlainComputedColumns(t *testing.T) {
 	e := testExecutor(t)
-	res, err := e.Query("SELECT oid, qty * 2 AS double_qty, qty + 1 FROM orders ORDER BY oid")
+	res, err := e.QueryContext(t.Context(), "SELECT oid, qty * 2 AS double_qty, qty + 1 FROM orders ORDER BY oid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +310,10 @@ func TestPlainComputedColumns(t *testing.T) {
 
 func TestComputedColumnRejectedInFuse(t *testing.T) {
 	e := testExecutor(t)
-	if _, err := e.Query("SELECT Age + 1 FUSE FROM EE_Student FUSE BY (Name)"); err == nil {
+	if _, err := e.QueryContext(t.Context(), "SELECT Age + 1 FUSE FROM EE_Student FUSE BY (Name)"); err == nil {
 		t.Error("computed expression in FUSE statement must error")
 	}
-	if _, err := e.Query("SELECT qty * 2 FROM orders GROUP BY cust"); err == nil {
+	if _, err := e.QueryContext(t.Context(), "SELECT qty * 2 FROM orders GROUP BY cust"); err == nil {
 		t.Error("computed expression with GROUP BY must error")
 	}
 }

@@ -49,7 +49,7 @@ func TestStreamMatchesQuery(t *testing.T) {
 			e.Cache = qcache.New(16)
 		}
 		for _, q := range queries {
-			want, err := e.Query(q)
+			want, err := e.QueryContext(t.Context(), q)
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
@@ -273,7 +273,7 @@ func TestSlimFusedCacheEntry(t *testing.T) {
 	e.Cache = qcache.New(8)
 	q := `SELECT Name, RESOLVE(Age, max) FUSE FROM EE_Student, CS_Students FUSE BY (Name)`
 
-	cold, err := e.Query(q)
+	cold, err := e.QueryContext(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestSlimFusedCacheEntry(t *testing.T) {
 	}
 
 	// Warm hit serves the slim entry...
-	warm, err := e.Query(q)
+	warm, err := e.QueryContext(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,13 +192,6 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Do returns the artifact for key, computing it with compute on a
-// miss. It is DoContext with a background context: it never gives up
-// waiting and its computations cannot be cancelled.
-func (c *Cache) Do(key Key, compute func() (any, error)) (val any, hit bool, err error) {
-	return c.DoContext(context.Background(), key, func(context.Context) (any, error) { return compute() })
-}
-
 // DoContext returns the artifact for key, computing it with compute on
 // a miss. Concurrent calls for the same key run compute exactly once;
 // the other callers block and share the outcome. hit reports whether

@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,13 +18,13 @@ func TestDoHitMiss(t *testing.T) {
 	c := New(8)
 	key := PlanKey("SELECT * FROM t")
 	calls := 0
-	compute := func() (any, error) { calls++; return 42, nil }
+	compute := func(context.Context) (any, error) { calls++; return 42, nil }
 
-	v, hit, err := c.Do(key, compute)
+	v, hit, err := c.DoContext(t.Context(), key, compute)
 	if err != nil || hit || v.(int) != 42 {
 		t.Fatalf("first Do = (%v, %v, %v), want (42, miss, nil)", v, hit, err)
 	}
-	v, hit, err = c.Do(key, compute)
+	v, hit, err = c.DoContext(t.Context(), key, compute)
 	if err != nil || !hit || v.(int) != 42 {
 		t.Fatalf("second Do = (%v, %v, %v), want (42, hit, nil)", v, hit, err)
 	}
@@ -53,7 +54,7 @@ func TestDoSingleflight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, _, _ := c.Do(key, func() (any, error) {
+		v, _, _ := c.DoContext(t.Context(), key, func(context.Context) (any, error) {
 			close(started)
 			<-release
 			calls.Add(1)
@@ -66,7 +67,7 @@ func TestDoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do(key, func() (any, error) {
+			v, _, err := c.DoContext(t.Context(), key, func(context.Context) (any, error) {
 				calls.Add(1)
 				return "recomputed", nil
 			})
@@ -94,14 +95,14 @@ func TestDoErrorNotCached(t *testing.T) {
 	c := New(8)
 	key := Key{Kind: KindDetect, Fingerprint: "e"}
 	calls := 0
-	_, _, err := c.Do(key, func() (any, error) { calls++; return nil, fmt.Errorf("boom") })
+	_, _, err := c.DoContext(t.Context(), key, func(context.Context) (any, error) { calls++; return nil, fmt.Errorf("boom") })
 	if err == nil {
 		t.Fatal("want error")
 	}
 	if c.Len() != 0 {
 		t.Fatalf("failed entry stayed resident: len=%d", c.Len())
 	}
-	v, hit, err := c.Do(key, func() (any, error) { calls++; return 7, nil })
+	v, hit, err := c.DoContext(t.Context(), key, func(context.Context) (any, error) { calls++; return 7, nil })
 	if err != nil || hit || v.(int) != 7 {
 		t.Fatalf("retry = (%v, %v, %v), want fresh 7", v, hit, err)
 	}
@@ -123,7 +124,7 @@ func TestDoPanicDoesNotWedgeKey(t *testing.T) {
 	release := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(key, func() (any, error) {
+		_, _, err := c.DoContext(t.Context(), key, func(context.Context) (any, error) {
 			close(started)
 			<-release
 			panic("parser bug")
@@ -139,7 +140,7 @@ func TestDoPanicDoesNotWedgeKey(t *testing.T) {
 	}
 	waiter := make(chan waiterResult, 1)
 	go func() {
-		v, _, err := c.Do(key, func() (any, error) { return "recomputed", nil })
+		v, _, err := c.DoContext(t.Context(), key, func(context.Context) (any, error) { return "recomputed", nil })
 		waiter <- waiterResult{v, err}
 	}()
 	// Let the waiter reach the in-flight entry, then fire the panic.
@@ -183,7 +184,7 @@ func TestDoPanicDoesNotWedgeKey(t *testing.T) {
 	}
 
 	// And the key keeps serving.
-	v2, hit, err := c.Do(key, func() (any, error) { return 1, nil })
+	v2, hit, err := c.DoContext(t.Context(), key, func(context.Context) (any, error) { return 1, nil })
 	if err != nil || !hit || v2 != "recomputed" {
 		t.Errorf("post-panic Do = (%v, %v, %v), want cached recompute", v2, hit, err)
 	}
@@ -193,7 +194,7 @@ func TestEvictionLRU(t *testing.T) {
 	c := New(2)
 	mk := func(i int) Key { return Key{Kind: KindPlan, Fingerprint: fmt.Sprint(i)} }
 	for i := 0; i < 3; i++ {
-		c.Do(mk(i), func() (any, error) { return i, nil })
+		c.DoContext(t.Context(), mk(i), func(context.Context) (any, error) { return i, nil })
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
@@ -214,7 +215,7 @@ func TestPurge(t *testing.T) {
 	c := New(8)
 	for i := 0; i < 3; i++ {
 		key := Key{Kind: KindMatch, Fingerprint: fmt.Sprint(i)}
-		c.Do(key, func() (any, error) { return i, nil })
+		c.DoContext(t.Context(), key, func(context.Context) (any, error) { return i, nil })
 	}
 	if n := c.Purge(); n != 3 {
 		t.Fatalf("purged %d, want 3", n)

@@ -183,7 +183,7 @@ func TestDUMASBridgesSynonyms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dumas.Match(canon, v.Rel, dumas.Config{})
+	res, err := dumas.MatchContext(t.Context(), canon, v.Rel, dumas.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestDUMASBridgesOpaqueNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dumas.Match(canon, v.Rel, dumas.Config{})
+	res, err := dumas.MatchContext(t.Context(), canon, v.Rel, dumas.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
