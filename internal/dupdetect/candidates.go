@@ -9,31 +9,15 @@ import (
 	"hummer/internal/strsim"
 )
 
-// Candidate-pair generation. Every strategy is expressed as a pairGen:
-// a deterministic stream of (a, b) row-index pairs, a < b, in the
-// strategy's canonical order. The detector consumes the stream either
-// inline (sequential) or chunked across a worker pool (parallel); the
-// canonical order is what makes the two paths produce byte-identical
-// results.
-//
-// Four strategies exist:
-//
-//   - exhaustive: every pair, row-major — n·(n-1)/2 candidates. The
-//     paper's O(n²) default.
-//   - sorted neighborhood (Config.Window): rows sorted by a key
-//     concatenated from the selected attributes; only rows within the
-//     window are paired — ~n·w candidates.
-//   - blocking (Config.Blocking): multi-pass prefix blocking. One pass
-//     per selected attribute; rows sharing the first Blocking runes of
-//     that attribute's normalized value form a block, and all pairs
-//     within a block are candidates. A pair found by several passes is
-//     emitted once, on its first discovery. Oversized blocks (more
-//     than maxBlockRows rows share a prefix) carry almost no
-//     discriminating power and are skipped.
-//   - q-gram blocking (Config.QGrams): like blocking, but each padded
-//     q-gram of the value's normalized prefix is a key, so a typo
-//     inside the prefix still leaves agreeing grams — the dumas
-//     candidate scheme ported to detection.
+// Candidate-pair generation for the key-based strategies — sorted
+// neighborhood (Config.Window), prefix blocking (Config.Blocking) and
+// q-gram blocking (Config.QGrams), described in the package doc. Each
+// is a pairGen: a deterministic stream of (a, b) row-index pairs,
+// a < b, in the strategy's canonical order. The detector consumes the
+// stream either inline (sequential) or chunked across a worker pool
+// (parallel); the canonical order is what makes the two paths produce
+// byte-identical results. The exhaustive default streams nothing:
+// scoreExhaustive (shard.go) walks its row ranges directly.
 
 // pairGen enumerates candidate pairs in canonical order. It stops
 // early when yield returns false.
@@ -44,19 +28,6 @@ type pairGen func(yield func(a, b int) bool)
 // pairing inside it would reintroduce the quadratic blowup blocking
 // exists to avoid.
 const maxBlockRows = 1000
-
-// exhaustivePairs streams every pair in row-major order.
-func exhaustivePairs(n int) pairGen {
-	return func(yield func(a, b int) bool) {
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				if !yield(a, b) {
-					return
-				}
-			}
-		}
-	}
-}
 
 // sortKeys builds the sorted-neighborhood sorting key of every row
 // from the measure's normalized-text cache (one ToLower per cell,
@@ -72,8 +43,9 @@ func (m *measure) sortKeys(ctx context.Context) []string {
 			return keys
 		}
 		b.Reset()
-		for k := range m.cols {
-			if !m.null[i][k] {
+		row := m.row(i)
+		for k := range row {
+			if !row[k].null {
 				b.WriteString(m.texts[i][k])
 				b.WriteByte(' ')
 			}
@@ -137,7 +109,7 @@ func multiPassBlocks(m *measure, st *blockStats, keysOf func(i, k int) []string)
 		for k := range m.cols {
 			blocks := make(map[string][]int)
 			for i := 0; i < n; i++ {
-				if m.null[i][k] {
+				if m.row(i)[k].null {
 					continue
 				}
 				for _, key := range keysOf(i, k) {
@@ -187,7 +159,7 @@ func multiPassBlocks(m *measure, st *blockStats, keysOf func(i, k int) []string)
 func blockingPairs(m *measure, st *blockStats, prefixLen int) pairGen {
 	var buf [1]string
 	return multiPassBlocks(m, st, func(i, k int) []string {
-		key := runePrefix(m.runes[i][k], prefixLen)
+		key := runePrefix(m.row(i)[k].runes, prefixLen)
 		if key == "" {
 			return nil
 		}
@@ -221,10 +193,11 @@ const qgramPrefixRunes = 10
 // into one meaningless block.
 func qgramPairs(m *measure, st *blockStats, q int) pairGen {
 	return multiPassBlocks(m, st, func(i, k int) []string {
-		if len(m.runes[i][k]) == 0 {
+		rs := m.row(i)[k].runes
+		if len(rs) == 0 {
 			return nil
 		}
-		return dedupSortedStrings(strsim.QGrams(runePrefix(m.runes[i][k], qgramPrefixRunes), q))
+		return dedupSortedStrings(strsim.QGrams(runePrefix(rs, qgramPrefixRunes), q))
 	})
 }
 
@@ -245,11 +218,12 @@ func dedupSortedStrings(s []string) []string {
 	return s[:w]
 }
 
-// candidateGen selects the strategy for cfg over the measured
-// relation and returns the generator plus the block counters it will
-// fill while streaming (always zero for the non-blocking strategies).
-// Config validation has already rejected conflicting settings. ctx
-// bounds the eager sort-key materialization of the Window strategy.
+// candidateGen selects the key-based strategy for cfg (one of Window,
+// Blocking and QGrams is set) over the measured relation and returns
+// the generator plus the block counters it will fill while streaming
+// (always zero for Window). Config validation has already rejected
+// conflicting settings. ctx bounds the eager sort-key materialization
+// of the Window strategy.
 func candidateGen(ctx context.Context, m *measure, cfg Config) (pairGen, *blockStats) {
 	st := &blockStats{}
 	switch {
@@ -257,9 +231,7 @@ func candidateGen(ctx context.Context, m *measure, cfg Config) (pairGen, *blockS
 		return windowPairs(m.sortKeys(ctx), cfg.Window), st
 	case cfg.Blocking > 0:
 		return blockingPairs(m, st, cfg.Blocking), st
-	case cfg.QGrams > 0:
-		return qgramPairs(m, st, cfg.QGrams), st
 	default:
-		return exhaustivePairs(len(m.texts)), st
+		return qgramPairs(m, st, cfg.QGrams), st
 	}
 }

@@ -85,8 +85,8 @@ func TestDetectContextCancelAtEveryPoll(t *testing.T) {
 		cfg   Config
 		polls int
 	}{
-		{Config{Parallelism: 1}, 14},
-		{Config{Parallelism: 3}, 23},
+		{Config{Parallelism: 1}, 128},
+		{Config{Parallelism: 3}, 128},
 		{Config{Window: 8, Parallelism: 3}, 12},
 		{Config{Blocking: 3, Parallelism: 3}, 11},
 		{Config{QGrams: 3, Parallelism: 3}, 23},
@@ -117,12 +117,13 @@ func TestDetectContextCancelAtEveryPoll(t *testing.T) {
 // TestDetectScoreSpan: the detect.score span reports the candidate and
 // compared counts of Stats and the number of scoring workers that
 // actually ran, which drops to 1 when every candidate fits in one
-// chunk.
+// chunk and to ⌈n/2⌉ fold shards when Parallelism asks for more.
 func TestDetectScoreSpan(t *testing.T) {
 	large := datagenDirty(42, 60)
 	if n := large.Len(); n*(n-1)/2 <= pairChunkSize {
 		t.Fatalf("%d rows fit in one chunk", n)
 	}
+	odd := headRows(t, large, 47)
 	for _, tc := range []struct {
 		label     string
 		rel       *relation.Relation
@@ -130,6 +131,7 @@ func TestDetectScoreSpan(t *testing.T) {
 	}{
 		{"one chunk", dirtyPeople(), 8, 1},
 		{"chunked", large, 3, 3},
+		{"capped at half", odd, 64, 24},
 	} {
 		tr := obs.NewTrace("t", "test")
 		res, err := DetectContext(obs.ContextWithTrace(context.Background(), tr), tc.rel, Config{Parallelism: tc.par})

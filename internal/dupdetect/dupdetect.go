@@ -19,7 +19,7 @@
 //
 // # Candidate generation
 //
-// Which pairs are compared is decided by one of three strategies:
+// Which pairs are compared is decided by one of four strategies:
 //
 //   - exhaustive (the default): all n·(n-1)/2 pairs — the paper's
 //     quadratic loop, full recall.
@@ -41,10 +41,12 @@
 //
 // Config.Parallelism sets the number of worker goroutines scoring
 // candidate pairs (0 means GOMAXPROCS, 1 forces sequential). The
-// candidate stream is chunked, scored by workers with private scratch
-// buffers, and merged back in chunk order. The Result — clusters,
-// duplicate and borderline pair order, statistics — is byte-identical
-// across all worker counts: parallelism is purely a wall-clock knob.
+// exhaustive strategy folds row j with row n−1−j and gives each worker
+// a contiguous range of the ⌈n/2⌉ fold indices; the key-based
+// strategies stream chunks of candidates to a worker pool. Outputs fold
+// back in canonical order, so the Result — clusters, duplicate and
+// borderline pair order, statistics — is byte-identical across all
+// worker counts: parallelism is purely a wall-clock knob.
 package dupdetect
 
 import (
@@ -181,9 +183,10 @@ type Result struct {
 
 // DetectContext finds duplicate clusters in rel, honoring ctx: the
 // measure precomputation polls it between row shards and the pair
-// scoring checks it at chunk boundaries, so a cancelled detection
-// returns promptly with ctx's error, all worker goroutines joined and
-// no partial result. A detection that completes is byte-identical to
+// scoring checks it once per row (exhaustive) or at chunk boundaries
+// (key-based strategies), so a cancelled detection returns promptly
+// with ctx's error, all worker goroutines joined and no partial
+// result. A detection that completes is byte-identical to
 // an uncancelled run.
 func DetectContext(ctx context.Context, rel *relation.Relation, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -224,16 +227,22 @@ func DetectContext(ctx context.Context, rel *relation.Relation, cfg Config) (*Re
 	_, ssp := obs.StartSpan(ctx, "detect.score")
 	defer ssp.End()
 	workers := scoreWorkers(cfg.Parallelism, rel.Len())
-	ssp.SetInt("workers", workers)
-	gen, blocks := candidateGen(ctx, m, cfg)
-	out, err := scorePairs(ctx, m, cfg, workers, gen)
+	var out shardResult
+	if strategies == 0 {
+		workers = min(workers, (rel.Len()+1)/2)
+		out, err = scoreExhaustive(ctx, m, cfg, workers)
+	} else {
+		gen, blocks := candidateGen(ctx, m, cfg)
+		out, err = scorePairs(ctx, m, cfg, workers, gen)
+		// Safe to read now: the generator goroutine that wrote the
+		// block counters is joined before scorePairs returns.
+		out.stats.SkippedBlocks = blocks.skipped
+		out.stats.SkippedBlockRows = blocks.skippedRows
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Safe to read now: the generator goroutine that wrote the block
-	// counters is joined before scorePairs returns.
-	out.stats.SkippedBlocks = blocks.skipped
-	out.stats.SkippedBlockRows = blocks.skippedRows
+	ssp.SetInt("workers", workers)
 	ssp.SetInt("candidates", out.stats.CandidatePairs)
 	ssp.SetInt("compared", out.stats.Compared)
 	ssp.End()
@@ -366,7 +375,6 @@ func ScoreAttributes(rel *relation.Relation) []attrScore {
 // text, its rune form, rune-presence mask, sorted rune counts, numeric
 // image, identifying power — is computed exactly once here, so the
 // per-pair hot path performs no text normalization and no allocation.
-// The masks and the counts back the two stages of upperBound.
 type measure struct {
 	rel  *relation.Relation
 	cols []int
@@ -375,23 +383,10 @@ type measure struct {
 	// the shared normalized-text cache (value.Text + ToLower run once
 	// per cell, not once per pair).
 	texts [][]string
-	// runes[i][k] is the rune form of texts[i][k], so the edit-
-	// distance kernel never re-decodes UTF-8.
-	runes [][][]rune
-	// masks[i*len(cols)+k] is the rune-presence mask of texts[i][k]
-	// (see runeMask), one flat row-major array: the O(1) first stage
-	// of upperBound.
-	masks []uint64
-	// counts[i][k] is the sorted rune histogram of texts[i][k],
-	// backing the multiset upper bound on edit similarity with a
-	// two-pointer merge instead of a map walk.
-	counts [][]runeCounts
-	// weights[i][k] is the identifying power (soft IDF) of that value.
-	weights [][]float64
-	// nums[i][k] is the numeric image, flagged by isNum.
-	nums  [][]float64
-	isNum [][]bool
-	null  [][]bool
+	// cells[i*len(cols)+k] is the comparison state of row i, selected
+	// attr k, in one flat row-major array: a pair walks two contiguous
+	// runs of len(cols) cells (see row).
+	cells []cell
 	// ranges[k] is the numeric value spread (max-min) of attribute k,
 	// used to normalize numeric distance: two years 30 apart are very
 	// different entities even though their relative difference is
@@ -403,6 +398,27 @@ type measure struct {
 	// down: matching on one weak attribute alone must not clear the
 	// threshold.
 	avgRowWeight float64
+}
+
+// cell is the comparison state of one value; a NULL sets null and
+// leaves the rest zero. runes spare the edit kernel UTF-8 decoding;
+// mask (see runeMask) and the sorted rune histogram counts back the
+// two stages of upperBound; weight is the identifying power (soft
+// IDF); num is the numeric image when isNum.
+type cell struct {
+	runes  []rune
+	counts runeCounts
+	mask   uint64
+	weight float64
+	num    float64
+	isNum  bool
+	null   bool
+}
+
+// row returns the cells of row i, one per selected attribute.
+func (m *measure) row(i int) []cell {
+	k := len(m.cols)
+	return m.cells[i*k : (i+1)*k : (i+1)*k]
 }
 
 // runeCount is one entry of a sorted rune histogram.
@@ -424,52 +440,47 @@ const evidenceFraction = 0.3
 // the normalization work itself.
 const measureShardMinRows = 128
 
-// colAgg is one shard's cross-row reduction state, one instance per
-// attribute: corpus statistics, distinct-value sets, non-null counts,
+// colAgg is one attribute's cross-row reduction state within one
+// shard: corpus statistics, distinct-value set, non-null count,
 // numeric bounds. Every field merges commutatively (count sums, set
 // unions, min/max), so folding per-shard aggregates reproduces the
 // sequential aggregates exactly regardless of shard count.
 type colAgg struct {
-	corpora  []*strsim.Corpus
-	distinct []map[uint64]bool
-	nonNull  []int
-	mins     []float64
-	maxs     []float64
-	haveNum  []bool
+	corpus   *strsim.Corpus
+	distinct map[uint64]bool
+	nonNull  int
+	min, max float64
+	haveNum  bool
 }
 
-func newColAgg(cols int) *colAgg {
-	a := &colAgg{
-		corpora:  make([]*strsim.Corpus, cols),
-		distinct: make([]map[uint64]bool, cols),
-		nonNull:  make([]int, cols),
-		mins:     make([]float64, cols),
-		maxs:     make([]float64, cols),
-		haveNum:  make([]bool, cols),
-	}
-	for k := range a.corpora {
-		a.corpora[k] = strsim.NewCorpus()
-		a.distinct[k] = map[uint64]bool{}
+// newColAggs returns one empty aggregate per attribute.
+func newColAggs(cols int) []colAgg {
+	a := make([]colAgg, cols)
+	for k := range a {
+		a[k] = colAgg{corpus: strsim.NewCorpus(), distinct: map[uint64]bool{}}
 	}
 	return a
 }
 
+// addNum widens the numeric bounds to cover [lo, hi].
+func (a *colAgg) addNum(lo, hi float64) {
+	if !a.haveNum || lo < a.min {
+		a.min = lo
+	}
+	if !a.haveNum || hi > a.max {
+		a.max = hi
+	}
+	a.haveNum = true
+}
+
 func (a *colAgg) merge(o *colAgg) {
-	for k := range a.corpora {
-		a.corpora[k].Merge(o.corpora[k])
-		for h := range o.distinct[k] {
-			a.distinct[k][h] = true
-		}
-		a.nonNull[k] += o.nonNull[k]
-		if o.haveNum[k] {
-			if !a.haveNum[k] || o.mins[k] < a.mins[k] {
-				a.mins[k] = o.mins[k]
-			}
-			if !a.haveNum[k] || o.maxs[k] > a.maxs[k] {
-				a.maxs[k] = o.maxs[k]
-			}
-			a.haveNum[k] = true
-		}
+	a.corpus.Merge(o.corpus)
+	for h := range o.distinct {
+		a.distinct[h] = true
+	}
+	a.nonNull += o.nonNull
+	if o.haveNum {
+		a.addNum(o.min, o.max)
 	}
 }
 
@@ -480,13 +491,7 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 	n := rel.Len()
 	m := &measure{rel: rel, cols: cols, cfg: cfg}
 	m.texts = make([][]string, n)
-	m.runes = make([][][]rune, n)
-	m.masks = make([]uint64, n*len(cols))
-	m.counts = make([][]runeCounts, n)
-	m.weights = make([][]float64, n)
-	m.nums = make([][]float64, n)
-	m.isNum = make([][]bool, n)
-	m.null = make([][]bool, n)
+	m.cells = make([]cell, n*len(cols))
 	m.ranges = make([]float64, len(cols))
 
 	workers := parshard.Workers(cfg.Parallelism)
@@ -501,9 +506,9 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 	// value sets, numeric bounds — into shard-local aggregates that
 	// fold commutatively afterwards, so the measure is byte-identical
 	// at every worker count.
-	aggs := make([]*colAgg, workers)
+	aggs := make([][]colAgg, workers)
 	err := parshard.RangesContext(ctx, workers, n, func(shard, lo, hi int) {
-		agg := newColAgg(len(cols))
+		agg := newColAggs(len(cols))
 		aggs[shard] = agg
 		var sortBuf []rune
 		for i := lo; i < hi; i++ {
@@ -511,36 +516,26 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 				return
 			}
 			m.texts[i] = make([]string, len(cols))
-			m.runes[i] = make([][]rune, len(cols))
-			m.counts[i] = make([]runeCounts, len(cols))
-			m.weights[i] = make([]float64, len(cols))
-			m.nums[i] = make([]float64, len(cols))
-			m.isNum[i] = make([]bool, len(cols))
-			m.null[i] = make([]bool, len(cols))
+			row := m.row(i)
 			for k, j := range cols {
 				v := rel.Row(i)[j]
+				c := &row[k]
 				if v.IsNull() {
-					m.null[i][k] = true
+					c.null = true
 					continue
 				}
 				txt := strings.ToLower(v.Text())
 				m.texts[i][k] = txt
-				m.runes[i][k] = []rune(txt)
-				m.masks[i*len(cols)+k] = runeMask(m.runes[i][k])
-				m.counts[i][k], sortBuf = countRunes(m.runes[i][k], sortBuf)
-				agg.corpora[k].AddText(txt)
-				agg.distinct[k][v.Hash()] = true
-				agg.nonNull[k]++
+				c.runes = []rune(txt)
+				c.mask = runeMask(c.runes)
+				c.counts, sortBuf = countRunes(c.runes, sortBuf)
+				agg[k].corpus.AddText(txt)
+				agg[k].distinct[v.Hash()] = true
+				agg[k].nonNull++
 				if f, ok := v.AsFloat(); ok {
-					m.nums[i][k] = f
-					m.isNum[i][k] = true
-					if !agg.haveNum[k] || f < agg.mins[k] {
-						agg.mins[k] = f
-					}
-					if !agg.haveNum[k] || f > agg.maxs[k] {
-						agg.maxs[k] = f
-					}
-					agg.haveNum[k] = true
+					c.num = f
+					c.isNum = true
+					agg[k].addNum(f, f)
 				}
 			}
 		}
@@ -548,15 +543,15 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	total := newColAgg(len(cols))
+	total := newColAggs(len(cols))
 	for _, agg := range aggs {
-		if agg != nil {
-			total.merge(agg)
+		for k := range agg {
+			total[k].merge(&agg[k])
 		}
 	}
 	for k := range cols {
-		if total.haveNum[k] {
-			m.ranges[k] = total.maxs[k] - total.mins[k]
+		if total[k].haveNum {
+			m.ranges[k] = total[k].max - total[k].min
 		}
 	}
 
@@ -565,8 +560,8 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 	// written by exactly one shard.
 	distinctness := make([]float64, len(cols))
 	for k := range cols {
-		if total.nonNull[k] > 0 {
-			distinctness[k] = float64(len(total.distinct[k])) / float64(total.nonNull[k])
+		if total[k].nonNull > 0 {
+			distinctness[k] = float64(len(total[k].distinct)) / float64(total[k].nonNull)
 		}
 	}
 	err = parshard.RangesContext(ctx, workers, n, func(_, lo, hi int) {
@@ -574,9 +569,10 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 			if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
 				return
 			}
+			row := m.row(i)
 			for k := range cols {
-				if !m.null[i][k] {
-					m.weights[i][k] = identifyingPower(total.corpora[k], m.texts[i][k]) *
+				if !row[k].null {
+					row[k].weight = identifyingPower(total[k].corpus, m.texts[i][k]) *
 						(0.25 + 0.75*distinctness[k])
 				}
 			}
@@ -587,10 +583,8 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 	}
 	if n > 0 {
 		var sum float64
-		for i := 0; i < n; i++ {
-			for k := range cols {
-				sum += m.weights[i][k] // zero for NULL cells
-			}
+		for i := range m.cells {
+			sum += m.cells[i].weight // zero for NULL cells
 		}
 		m.avgRowWeight = sum / float64(n)
 	}
@@ -643,13 +637,16 @@ func identifyingPower(c *strsim.Corpus, text string) float64 {
 // is the mean identifying power of the two values. sc provides the
 // caller-owned scratch buffers for the edit-distance kernel.
 func (m *measure) similarity(a, b int, sc *strsim.Scratch) float64 {
+	ra, rb := m.row(a), m.row(b)
+	rb = rb[:len(ra)]
 	var num, den, evidence float64
-	for k := range m.cols {
-		if m.null[a][k] || m.null[b][k] {
+	for k := range ra {
+		x, y := &ra[k], &rb[k]
+		if x.null || y.null {
 			continue
 		}
-		s := m.valueSim(a, b, k, sc)
-		w := (m.weights[a][k] + m.weights[b][k]) / 2
+		s := m.valueSim(x, y, k, sc)
+		w := (x.weight + y.weight) / 2
 		evidence += w
 		if s >= matchCutoff {
 			num += w * s
@@ -677,21 +674,21 @@ func (m *measure) evidenceFactor(evidence float64) float64 {
 	return evidence / need
 }
 
-// valueSim compares two non-null values of one attribute: numeric
+// valueSim compares two non-null cells of attribute k: numeric
 // distance when both are numeric, edit similarity otherwise
 // (criterion ii). The edit similarity is threshold-bounded at
 // matchCutoff: values whose similarity cannot reach the cutoff only
 // ever act as contradictions, so the dynamic program abandons early
 // and returns a canonical below-cutoff value.
-func (m *measure) valueSim(a, b, k int, sc *strsim.Scratch) float64 {
-	if m.isNum[a][k] && m.isNum[b][k] {
-		return m.numericSim(a, b, k)
+func (m *measure) valueSim(x, y *cell, k int, sc *strsim.Scratch) float64 {
+	if x.isNum && y.isNum {
+		return m.numericSim(x.num, y.num, k)
 	}
-	return sc.LevenshteinSimBoundedRunes(m.runes[a][k], m.runes[b][k], matchCutoff)
+	return sc.LevenshteinSimBoundedRunes(x.runes, y.runes, matchCutoff)
 }
 
-func (m *measure) numericSim(a, b, k int) float64 {
-	x, y := m.nums[a][k], m.nums[b][k]
+// numericSim compares two numeric images x and y of attribute k.
+func (m *measure) numericSim(x, y float64, k int) float64 {
 	if x == y {
 		return 1
 	}
@@ -732,27 +729,29 @@ func (m *measure) numericSim(a, b, k int) float64 {
 // pass pay for editSimBound's O(l) histogram merge, so the result is
 // bit-identical to running editSimBound for every attribute.
 func (m *measure) upperBound(a, b int) float64 {
+	ra, rb := m.row(a), m.row(b)
+	rb = rb[:len(ra)]
 	var num, den, evidence float64
 	any := false
-	for k := range m.cols {
-		if m.null[a][k] || m.null[b][k] {
+	for k := range ra {
+		x, y := &ra[k], &rb[k]
+		if x.null || y.null {
 			continue
 		}
 		any = true
-		evidence += (m.weights[a][k] + m.weights[b][k]) / 2
+		w := (x.weight + y.weight) / 2
+		evidence += w
 		var bound float64
-		if m.isNum[a][k] && m.isNum[b][k] {
-			bound = m.numericSim(a, b, k)
+		if x.isNum && y.isNum {
+			bound = m.numericSim(x.num, y.num, k)
 		} else {
-			la, lb := len(m.runes[a][k]), len(m.runes[b][k])
-			ma, mb := m.masks[a*len(m.cols)+k], m.masks[b*len(m.cols)+k]
-			if l := max(la, lb); l > 0 && float64(maskCommon(la, lb, ma, mb))/float64(l) < matchCutoff {
+			la, lb := len(x.runes), len(y.runes)
+			if l := max(la, lb); l > 0 && float64(maskCommon(la, lb, x.mask, y.mask))/float64(l) < matchCutoff {
 				continue
 			}
-			bound = editSimBound(la, lb, m.counts[a][k], m.counts[b][k])
+			bound = editSimBound(la, lb, x.counts, y.counts)
 		}
 		if bound >= matchCutoff {
-			w := (m.weights[a][k] + m.weights[b][k]) / 2
 			num += w * bound
 			den += w
 		}
@@ -790,11 +789,8 @@ func maskCommon(la, lb int, ma, mb uint64) int {
 // strings of rune lengths la and lb in O(la+lb): the rune-multiset
 // intersection (a sorted two-pointer merge) over the longer length.
 func editSimBound(la, lb int, ca, cb runeCounts) float64 {
-	max := la
-	if lb > max {
-		max = lb
-	}
-	if max == 0 {
+	l := max(la, lb)
+	if l == 0 {
 		return 1
 	}
 	common := 0
@@ -815,7 +811,7 @@ func editSimBound(la, lb int, ca, cb runeCounts) float64 {
 			j++
 		}
 	}
-	return float64(common) / float64(max)
+	return float64(common) / float64(l)
 }
 
 // --- Union-find -----------------------------------------------------------

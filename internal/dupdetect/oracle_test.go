@@ -21,21 +21,22 @@ import (
 func refUpperBound(m *measure, a, b int) float64 {
 	var num, den, evidence float64
 	any := false
+	ra, rb := m.row(a), m.row(b)
 	for k := range m.cols {
-		if m.null[a][k] || m.null[b][k] {
+		if ra[k].null || rb[k].null {
 			continue
 		}
 		any = true
-		evidence += (m.weights[a][k] + m.weights[b][k]) / 2
+		evidence += (ra[k].weight + rb[k].weight) / 2
 		var bound float64
-		if m.isNum[a][k] && m.isNum[b][k] {
-			bound = m.numericSim(a, b, k)
+		if ra[k].isNum && rb[k].isNum {
+			bound = m.numericSim(ra[k].num, rb[k].num, k)
 		} else {
-			bound = editSimBound(len(m.runes[a][k]), len(m.runes[b][k]),
-				m.counts[a][k], m.counts[b][k])
+			bound = editSimBound(len(ra[k].runes), len(rb[k].runes),
+				ra[k].counts, rb[k].counts)
 		}
 		if bound >= matchCutoff {
-			w := (m.weights[a][k] + m.weights[b][k]) / 2
+			w := (ra[k].weight + rb[k].weight) / 2
 			num += w * bound
 			den += w
 		}
@@ -177,6 +178,68 @@ func TestDetectMatchesOracle(t *testing.T) {
 	}
 }
 
+// headRows returns the first n rows of rel as a new relation.
+func headRows(t *testing.T, rel *relation.Relation, n int) *relation.Relation {
+	t.Helper()
+	out := relation.New(rel.Name(), rel.Schema())
+	for i := 0; i < n; i++ {
+		if err := out.Append(rel.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestExhaustiveFoldMatchesOracle: the folded exhaustive path equals
+// the plain double loop — Stats, pair order, Sim bits and clusters —
+// for tiny and odd row counts (the middle row of an odd n belongs to
+// one shard only) and for worker counts above ⌈n/2⌉ (capped). Each
+// cell is checked through DetectContext and through scoreExhaustive
+// called directly at min(Parallelism, ⌈n/2⌉) shards, so the fold runs
+// even where the single-chunk rule keeps DetectContext inline.
+func TestExhaustiveFoldMatchesOracle(t *testing.T) {
+	full := datagenDirty(42, 16)
+	attrs := SelectAttributes(full)
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		cols[i] = full.Schema().MustLookup(a)
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 47} {
+		rel := headRows(t, full, n)
+		base := Config{Attributes: attrs, Threshold: 0.6}
+		want := refDetect(t, rel, base)
+		if n == 47 && (want.Stats.Compared == 0 || n*(n-1)/2 <= pairChunkSize) {
+			t.Fatalf("%d rows: oracle compared %d pairs in one chunk", n, want.Stats.Compared)
+		}
+		m, err := newMeasure(t.Context(), rel, cols, base.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2, 3, 8, 64} {
+			cfg := base
+			cfg.Parallelism = par
+			label := fmt.Sprintf("n %d p %d", n, par)
+			got, err := DetectContext(t.Context(), rel, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, label, want, got)
+
+			out, err := scoreExhaustive(t.Context(), m, cfg.withDefaults(), min(par, (n+1)/2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			folded := &Result{SelectedAttributes: attrs, Duplicates: out.dups, Borderline: out.borderline, Stats: out.stats}
+			dsu := newUnionFind(n)
+			for _, p := range out.dups {
+				dsu.union(p.A, p.B)
+			}
+			folded.ObjectIDs, folded.Clusters = dsu.clusters()
+			requireSameResult(t, label+" direct", want, folded)
+		}
+	}
+}
+
 // edgeRelation holds the cells datagen never produces: non-ASCII and
 // combining-mark text, values with more than 64 distinct runes, empty
 // strings beside NULLs, all-NULL rows, and one column mixing numbers
@@ -259,10 +322,10 @@ func TestDetectOracleEdgeCases(t *testing.T) {
 }
 
 // maxDetectAllocs caps the allocations of one sequential DetectContext over
-// the 201-row datagen fixture at its measured count. Per-row slices
-// dominate; a change that starts allocating per pair blows through it
+// the 201-row datagen fixture at its measured count. Per-cell rune
+// slices and histograms dominate; a change that starts allocating per pair blows through it
 // at once.
-const maxDetectAllocs = 11249
+const maxDetectAllocs = 10040
 
 // raceEnabled is set by race_test.go under -race.
 var raceEnabled bool

@@ -297,11 +297,12 @@ func TestRuneMaskGateExact(t *testing.T) {
 						trial, a, b, got, want, rel.Row(a), rel.Row(b))
 				}
 				for k := range cols {
-					if m.null[a][k] || m.null[b][k] {
+					ca, cb := m.row(a)[k], m.row(b)[k]
+					if ca.null || cb.null {
 						continue
 					}
-					ra, rb := m.runes[a][k], m.runes[b][k]
-					ma, mb := m.masks[a*len(cols)+k], m.masks[b*len(cols)+k]
+					ra, rb := ca.runes, cb.runes
+					ma, mb := ca.mask, cb.mask
 					c, l := maskCommon(len(ra), len(rb), ma, mb), max(len(ra), len(rb))
 					if c < histCommon(ra, rb) {
 						t.Fatalf("maskCommon(%q, %q) = %d below the histogram's %d",

@@ -7,24 +7,33 @@ import (
 	"hummer/internal/strsim"
 )
 
-// Sharded pair scoring, built on the shared parshard worker pool. The
-// candidate stream is cut into fixed-size chunks; workers score chunks
-// concurrently, each with its own strsim.Scratch and its own Stats /
-// scored-pair buffers; the per-chunk results are folded back in chunk
-// order. Because chunk boundaries and the within-chunk order are
-// functions of the canonical pair order alone, the merged Result is
-// byte-identical to the sequential path at any worker count (the
-// parshard determinism contract).
+// Sharded pair scoring on parshard. The exhaustive default scores
+// folded row ranges in parshard.RangesContext shards (scoreExhaustive);
+// the key-based strategies stream candidates through the
+// parshard.RunContext pool in fixed-size chunks (scorePairs). Workers
+// keep private scratch and outputs, folded back in canonical order, so
+// the merged Result is byte-identical to the sequential path at any
+// worker count (the parshard determinism contract).
 
 // pairChunkSize is the number of candidate pairs per work unit.
 const pairChunkSize = parshard.DefaultChunk
 
-// shardResult is one chunk's (or the whole sequential run's) scoring
+// shardResult is one shard's (or the whole sequential run's) scoring
 // output.
 type shardResult struct {
 	stats      Stats
 	dups       []ScoredPair
 	borderline []ScoredPair
+}
+
+// merge appends part after into: the fold both scoring shapes apply in
+// canonical order.
+func (into *shardResult) merge(part shardResult) {
+	into.stats.CandidatePairs += part.stats.CandidatePairs
+	into.stats.FilteredOut += part.stats.FilteredOut
+	into.stats.Compared += part.stats.Compared
+	into.dups = append(into.dups, part.dups...)
+	into.borderline = append(into.borderline, part.borderline...)
 }
 
 // pairScorer scores candidate pairs with private scratch buffers; one
@@ -62,6 +71,47 @@ func scoreWorkers(parallelism, n int) int {
 	return parshard.Workers(parallelism)
 }
 
+// scoreExhaustive scores every pair in row-major order over at most
+// ⌈n/2⌉ shards. Fold index j owns rows j and n−1−j; shard s with fold
+// range [lo, hi) scores front rows [lo, hi) and back rows
+// [max(n−hi, ⌈n/2⌉), n−lo) — the max keeps an odd n's middle row out
+// of the backs. Fronts in shard order, then backs in reverse shard
+// order, are the rows in ascending order. ctx is polled once per row.
+func scoreExhaustive(ctx context.Context, m *measure, cfg Config, workers int) (shardResult, error) {
+	n := len(m.texts)
+	half := (n + 1) / 2
+	fronts := make([]shardResult, workers)
+	backs := make([]shardResult, workers)
+	err := parshard.RangesContext(ctx, workers, half, func(s, lo, hi int) {
+		ps := &pairScorer{m: m, cfg: cfg}
+		rows := func(from, to int, out *shardResult) bool {
+			for a := from; a < to; a++ {
+				if parshard.Canceled(ctx) {
+					return false
+				}
+				for b := a + 1; b < n; b++ {
+					ps.score(a, b, out)
+				}
+			}
+			return true
+		}
+		if rows(lo, hi, &fronts[s]) {
+			rows(max(n-hi, half), n-lo, &backs[s])
+		}
+	})
+	if err != nil {
+		return shardResult{}, err
+	}
+	var out shardResult
+	for s := range fronts {
+		out.merge(fronts[s])
+	}
+	for s := len(backs) - 1; s >= 0; s-- {
+		out.merge(backs[s])
+	}
+	return out, nil
+}
+
 // scorePairs runs the candidate stream through the given number of
 // worker goroutines and returns the merged, canonically ordered
 // scoring output. ctx is checked at chunk boundaries: a cancelled run
@@ -76,11 +126,5 @@ func scorePairs(ctx context.Context, m *measure, cfg Config, workers int, gen pa
 			ps := &pairScorer{m: m, cfg: cfg}
 			return func(p [2]int, out *shardResult) { ps.score(p[0], p[1], out) }
 		},
-		func(into *shardResult, chunk shardResult) {
-			into.stats.CandidatePairs += chunk.stats.CandidatePairs
-			into.stats.FilteredOut += chunk.stats.FilteredOut
-			into.stats.Compared += chunk.stats.Compared
-			into.dups = append(into.dups, chunk.dups...)
-			into.borderline = append(into.borderline, chunk.borderline...)
-		})
+		(*shardResult).merge)
 }

@@ -42,12 +42,13 @@
 // global seeded schedule ("seed=N", "rate=F", "delay=D",
 // "kinds=panic+error+delay"); a "site:kind[:every=N][:after=N]
 // [:times=N][:delay=D]" spec adds a Rule (site may end in '*' for a
-// prefix match).
+// prefix match, and must match at least one of Sites).
 package faultinject
 
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,16 +58,17 @@ import (
 )
 
 // The registered fault points. Every name here is a live Hit call in
-// the pipeline; the chaos suite asserts each of them fires.
+// the pipeline. The chaos storm asserts that each of them is hit
+// except SiteParshardGenerator, which only the key-based candidate
+// strategies (Window, Blocking, QGrams) reach.
 const (
 	// SiteParshardWorker fires inside worker-pool chunk processing
-	// (both the parallel workers and the single-worker inline path).
+	// (both the parallel workers and the single-worker inline path)
+	// and once per contiguous shard of RangesContext.
 	SiteParshardWorker = "parshard.worker"
 	// SiteParshardGenerator fires in the canonical-order generator
 	// goroutine feeding the worker pool.
 	SiteParshardGenerator = "parshard.generator"
-	// SiteParshardRange fires per contiguous shard of RangesContext.
-	SiteParshardRange = "parshard.range"
 	// SiteQCacheLeader fires inside a singleflight leader's compute,
 	// with waiters attached — the cache-poisoning hazard zone.
 	SiteQCacheLeader = "qcache.leader.compute"
@@ -92,7 +94,7 @@ const (
 // coverage checklist.
 func Sites() []string {
 	s := []string{
-		SiteParshardWorker, SiteParshardGenerator, SiteParshardRange,
+		SiteParshardWorker, SiteParshardGenerator,
 		SiteQCacheLeader, SiteCoreMatch, SiteCoreDetect,
 		SiteEngineMaterialize, SitePlanQuery, SitePlanStream,
 		SiteServerQuery, SiteServerStream, SiteServerBatch,
@@ -482,6 +484,9 @@ func parseRule(part string) (Rule, error) {
 		default:
 			return Rule{}, fmt.Errorf("faultinject: unknown rule option %q", key)
 		}
+	}
+	if !slices.ContainsFunc(Sites(), func(s string) bool { return matchSite(r.Site, s) }) {
+		return Rule{}, fmt.Errorf("faultinject: rule %q: site matches no fault point (see Sites)", part)
 	}
 	return r, nil
 }

@@ -194,18 +194,27 @@ func TestParsePlan(t *testing.T) {
 	if r.Site != "parshard.*" || r.Kind != Delay || r.Delay != 2*time.Millisecond {
 		t.Errorf("rule 1 = %+v", r)
 	}
+	// Prefix patterns parse as long as they match some fault point.
+	for _, spec := range []string{"parshard.*:error", "*:panic:every=9"} {
+		if _, err := ParsePlan(spec); err != nil {
+			t.Errorf("ParsePlan(%q) = %v, want nil", spec, err)
+		}
+	}
 }
 
 func TestParsePlanErrors(t *testing.T) {
 	for _, spec := range []string{
-		"rate=2",              // out of range
-		"seed=abc",            // not a number
-		"bogus=1",             // unknown global
-		"site:teleport",       // unknown kind
-		"site:panic:every=x",  // bad option value
-		"site:panic:bogus=1",  // unknown option
-		"site:panic:every",    // option without value
-		"kinds=panic+explode", // unknown kind in global
+		"rate=2",               // out of range
+		"seed=abc",             // not a number
+		"bogus=1",              // unknown global
+		"site:teleport",        // unknown kind
+		"site:panic:every=x",   // bad option value
+		"site:panic:bogus=1",   // unknown option
+		"site:panic:every",     // option without value
+		"kinds=panic+explode",  // unknown kind in global
+		"server.qeury:panic",   // typo'd site
+		"parshard.range:panic", // removed site
+		"nosuch.*:error",       // prefix matching no site
 	} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) succeeded, want error", spec)
@@ -237,8 +246,8 @@ func TestArmFromEnv(t *testing.T) {
 
 func TestSitesSortedAndComplete(t *testing.T) {
 	sites := Sites()
-	if len(sites) != 12 {
-		t.Fatalf("Sites() has %d entries, want 12: %v", len(sites), sites)
+	if len(sites) != 11 {
+		t.Fatalf("Sites() has %d entries, want 11: %v", len(sites), sites)
 	}
 	for i := 1; i < len(sites); i++ {
 		if sites[i-1] >= sites[i] {

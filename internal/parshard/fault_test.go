@@ -139,7 +139,7 @@ func TestRunRePanicsContainedFault(t *testing.T) {
 }
 
 // TestRangesPanicContained: shard panics become errors from
-// RangesContext.
+// RangesContext, attributed to the worker site — a shard is a worker.
 func TestRangesPanicContained(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		err := RangesContext(context.Background(), workers, 100, func(shard, lo, hi int) {
@@ -151,8 +151,8 @@ func TestRangesPanicContained(t *testing.T) {
 		if !errors.As(err, &ie) {
 			t.Fatalf("workers=%d: err = %v (%T), want *InternalError", workers, err, err)
 		}
-		if ie.Site != faultinject.SiteParshardRange {
-			t.Errorf("workers=%d: Site = %q, want %q", workers, ie.Site, faultinject.SiteParshardRange)
+		if ie.Site != faultinject.SiteParshardWorker {
+			t.Errorf("workers=%d: Site = %q, want %q", workers, ie.Site, faultinject.SiteParshardWorker)
 		}
 	}
 }

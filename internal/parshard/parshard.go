@@ -1,7 +1,7 @@
 // Package parshard provides the shared deterministic work-sharding
 // machinery behind HumMer's parallel phases (duplicate detection's
-// pair scoring, DUMAS's tuple-pair scoring and per-cell field-matrix
-// averaging).
+// measure precomputation and pair scoring, DUMAS's precomputation,
+// tuple-pair scoring and per-cell field-matrix averaging).
 //
 // # The canonical-order determinism contract
 //
@@ -19,13 +19,18 @@
 //     exactly the sequential output — including the order of any
 //     slices the chunks append to and the floating-point accumulation
 //     order of any sums. Run is RunContext with a background context.
+//     In the product its callers are the key-based candidate
+//     strategies only: dupdetect's Window, Blocking and QGrams pair
+//     scoring and dumas's Window and QGrams tuple-pair scoring.
 //
 //   - RangesContext splits a [0, n) index space into contiguous
 //     shards, one per worker. Callers must write only shard-local or
 //     per-index state inside the callback; cross-shard reductions are
 //     returned per shard and folded by the caller in shard order (or
 //     must be order-insensitive, like integer counts, set unions,
-//     min/max).
+//     min/max). It runs every default path: dupdetect's measure
+//     precomputation and folded exhaustive pair scoring, and dumas's
+//     precomputation, posting-list tuple scoring and field matrix.
 //
 // Anything order-sensitive (float accumulation, slice append) must
 // happen either per item/cell or in the deterministic fold — never
@@ -48,9 +53,11 @@
 // shards of RangesContext — recovers panics at its boundary and
 // converts them into a *fault.InternalError returned from the call;
 // the run aborts exactly like a cancellation (drain, join, no partial
-// result) and the process survives. Run, which has no error return,
-// re-panics the already-contained error so the next boundary up
-// re-recovers the same value without double-counting.
+// result) and the process survives. A RangesContext shard is a
+// worker: it fires and reports faultinject.SiteParshardWorker. Run,
+// which has no error return, re-panics the already-contained error so
+// the next boundary up re-recovers the same value without
+// double-counting.
 package parshard
 
 import (
@@ -370,8 +377,8 @@ func RangesContext(ctx context.Context, workers, n int, fn func(shard, lo, hi in
 	// runShard is the per-shard recovery boundary: a panic in fn fails
 	// the run, never the process.
 	runShard := func(shard, lo, hi int) (err error) {
-		defer fault.Capture(faultinject.SiteParshardRange, &err)
-		if err := faultinject.Hit(faultinject.SiteParshardRange); err != nil {
+		defer fault.Capture(faultinject.SiteParshardWorker, &err)
+		if err := faultinject.Hit(faultinject.SiteParshardWorker); err != nil {
 			return err
 		}
 		fn(shard, lo, hi)
@@ -402,7 +409,7 @@ func RangesContext(ctx context.Context, workers, n int, fn func(shard, lo, hi in
 				if r := recover(); r != nil {
 					failMu.Lock()
 					if failErr == nil {
-						failErr = fault.NewInternal(faultinject.SiteParshardRange, r)
+						failErr = fault.NewInternal(faultinject.SiteParshardWorker, r)
 					}
 					failMu.Unlock()
 				}
