@@ -1,8 +1,9 @@
 package dumas
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"strings"
 
 	"hummer/internal/parshard"
@@ -29,14 +30,14 @@ import (
 //     prefix still leaves the other grams agreeing — recall survives
 //     dirty prefixes that defeat plain prefix blocking.
 //
-// The key-based strategies score a different candidate set, so they
-// stay pair generators: a pairGen streams (leftRow, rightRow) pairs in
-// canonical order, and the scorer runs strsim.DotTermVecs on each
-// across the parshard worker pool.
+// All three score left rows in parshard.RangesContext shards
+// (scoreLeft). The key-based strategies are partner functions: for a
+// left row they list the right rows it is paired with, ascending and
+// each once, and scorePartners runs strsim.DotTermVecs on each pair.
 
-// pairGen enumerates candidate (left, right) pairs in canonical order.
-// It stops early when yield returns false.
-type pairGen func(yield func(li, ri int) bool)
+// partnerFunc appends left row l's candidate right rows — ascending,
+// each once — to dst and returns it.
+type partnerFunc func(l int, dst []int) []int
 
 // qgramPrefixRunes is how much of the sort key the q-gram blocking
 // strategy derives its keys from: long enough to cover the leading
@@ -56,14 +57,37 @@ type posting struct {
 	w   float64
 }
 
+// scoreLeft runs one row scorer per shard over left-row shards of
+// [0, nl) and folds the shard outputs in shard order, which is left
+// row order. ctx is polled every CancelStride left rows.
+func scoreLeft(ctx context.Context, workers, nl int, newRow func() func(l int, out *scoreShard)) (scoreShard, error) {
+	shards := make([]scoreShard, workers)
+	err := parshard.RangesContext(ctx, workers, nl, func(s, lo, hi int) {
+		row := newRow()
+		for l := lo; l < hi; l++ {
+			if l%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
+				return
+			}
+			row(l, &shards[s])
+		}
+	})
+	if err != nil {
+		return scoreShard{}, err
+	}
+	var out scoreShard
+	for _, sh := range shards {
+		out.merge(sh)
+	}
+	return out, nil
+}
+
 // scorePostings is the default strategy: term-at-a-time scoring of
-// every left row against the inverted index of the right term vectors,
-// left rows sharded across workers. Each shard owns an accumulator
-// slot per right row, reset on first touch, so nothing is shared.
-// A left row walks its terms in sorted order, hence acc[r] receives
-// exactly the products DotTermVecs(left, right[r]) sums, in the same
-// order; with the same > 1 clamp every Sim is bit-identical to the
-// merge walk. ctx is polled every CancelStride left rows.
+// every left row against the inverted index of the right term vectors.
+// Each shard owns an accumulator slot per right row, reset on first
+// touch, so nothing is shared. A left row walks its terms in sorted
+// order, hence acc[r] receives exactly the products DotTermVecs(left,
+// right[r]) sums, in the same order; with the same > 1 clamp every Sim
+// is bit-identical to the merge walk.
 func scorePostings(ctx context.Context, workers int, leftVecs, rightVecs []strsim.TermVec, minSim float64) (scoreShard, error) {
 	index := map[string][]posting{}
 	for r, v := range rightVecs {
@@ -71,16 +95,11 @@ func scorePostings(ctx context.Context, workers int, leftVecs, rightVecs []strsi
 			index[t] = append(index[t], posting{row: r, w: v.Ws[k]})
 		}
 	}
-	shards := make([]scoreShard, workers)
-	err := parshard.RangesContext(ctx, workers, len(leftVecs), func(s, lo, hi int) {
-		out := &shards[s]
+	return scoreLeft(ctx, workers, len(leftVecs), func() func(int, *scoreShard) {
 		acc := make([]float64, len(rightVecs))
 		stamp := make([]int, len(rightVecs)) // stamp[r] == l+1: r touched by left row l
 		var touched []int
-		for l := lo; l < hi; l++ {
-			if l%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
-				return
-			}
+		return func(l int, out *scoreShard) {
 			touched = touched[:0]
 			lv := leftVecs[l]
 			for k, t := range lv.Terms {
@@ -106,23 +125,36 @@ func scorePostings(ctx context.Context, workers int, leftVecs, rightVecs []strsi
 			}
 		}
 	})
-	if err != nil {
-		return scoreShard{}, err
-	}
-	var out scoreShard
-	for _, sh := range shards {
-		out.merge(sh)
-	}
-	return out, nil
 }
 
-// qgramPairs streams, for each left row in ascending order, the
-// ascending right rows sharing at least one q-gram of the sort-key
-// prefix. Posting lists longer than maxQGramBlock are skipped; a stamp
-// array makes the per-row dedup allocation-free.
-func qgramPairs(leftKeys, rightKeys []string, q int) pairGen {
-	grams := func(key string) []string {
-		return dedupSorted(strsim.QGrams(runePrefix(key, qgramPrefixRunes), q))
+// scorePartners scores every left row against the right rows its
+// partner function lists, one partner function per shard.
+func scorePartners(ctx context.Context, workers int, leftVecs, rightVecs []strsim.TermVec, minSim float64, newPartners func() partnerFunc) (scoreShard, error) {
+	return scoreLeft(ctx, workers, len(leftVecs), func() func(int, *scoreShard) {
+		partners := newPartners()
+		var buf []int
+		return func(l int, out *scoreShard) {
+			buf = partners(l, buf[:0])
+			out.stats.CandidatePairs += len(buf)
+			for _, r := range buf {
+				if sim := strsim.DotTermVecs(leftVecs[l], rightVecs[r]); sim >= minSim {
+					out.stats.Scored++
+					out.pairs = append(out.pairs, TuplePair{LeftRow: l, RightRow: r, Sim: sim})
+				}
+			}
+		}
+	})
+}
+
+// qgramPartners pairs each left row with the right rows sharing at
+// least one q-gram of its sort-key prefix. The gram index is built
+// once; posting lists longer than maxQGramBlock are skipped, and each
+// shard's partner function dedups through its own stamp array.
+func qgramPartners(leftKeys, rightKeys []string, q int) func() partnerFunc {
+	grams := func(key string) []string { // distinct, sorted
+		gs := strsim.QGrams(runePrefix(key, qgramPrefixRunes), q)
+		slices.Sort(gs)
+		return slices.Compact(gs)
 	}
 	index := map[string][]int{}
 	for ri, key := range rightKeys {
@@ -134,12 +166,10 @@ func qgramPairs(leftKeys, rightKeys []string, q int) pairGen {
 	for li, key := range leftKeys {
 		keyed[li] = grams(key)
 	}
-	return func(yield func(li, ri int) bool) {
-		stamp := make([]int, len(rightKeys)) // stamp[ri] == li+1: ri already collected
-		var cands []int
-		for li, gs := range keyed {
-			cands = cands[:0]
-			for _, g := range gs {
+	return func() partnerFunc {
+		stamp := make([]int, len(rightKeys)) // stamp[ri] == li+1: ri already a partner of li
+		return func(li int, dst []int) []int {
+			for _, g := range keyed[li] {
 				list := index[g]
 				if len(list) > maxQGramBlock {
 					continue
@@ -147,16 +177,12 @@ func qgramPairs(leftKeys, rightKeys []string, q int) pairGen {
 				for _, ri := range list {
 					if stamp[ri] != li+1 {
 						stamp[ri] = li + 1
-						cands = append(cands, ri)
+						dst = append(dst, ri)
 					}
 				}
 			}
-			sort.Ints(cands)
-			for _, ri := range cands {
-				if !yield(li, ri) {
-					return
-				}
-			}
+			slices.Sort(dst)
+			return dst
 		}
 	}
 }
@@ -168,11 +194,10 @@ type snEntry struct {
 	row  int
 }
 
-// windowPairs streams the cross-relation sorted-neighborhood pairs:
-// left and right tuples merged and ordered by sort key, every
-// cross-side pair within `window` positions, in (position, distance)
-// order.
-func windowPairs(leftKeys, rightKeys []string, window int) pairGen {
+// windowPartners pairs each left row with the right tuples within
+// `window` positions of it in the merged order of left and right
+// tuples by sort key. It keeps no scratch, so every shard shares one.
+func windowPartners(leftKeys, rightKeys []string, window int) func() partnerFunc {
 	entries := make([]snEntry, 0, len(leftKeys)+len(rightKeys))
 	for i, k := range leftKeys {
 		entries = append(entries, snEntry{key: k, side: 0, row: i})
@@ -180,49 +205,26 @@ func windowPairs(leftKeys, rightKeys []string, window int) pairGen {
 	for i, k := range rightKeys {
 		entries = append(entries, snEntry{key: k, side: 1, row: i})
 	}
-	sort.Slice(entries, func(x, y int) bool {
-		if entries[x].key != entries[y].key {
-			return entries[x].key < entries[y].key
-		}
-		if entries[x].side != entries[y].side {
-			return entries[x].side < entries[y].side
-		}
-		return entries[x].row < entries[y].row
+	slices.SortFunc(entries, func(a, b snEntry) int {
+		return cmp.Or(strings.Compare(a.key, b.key), cmp.Compare(a.side, b.side), cmp.Compare(a.row, b.row))
 	})
-	return func(yield func(li, ri int) bool) {
-		for pos := range entries {
-			for d := 1; d <= window && pos+d < len(entries); d++ {
-				a, b := entries[pos], entries[pos+d]
-				if a.side == b.side {
-					continue
-				}
-				if a.side == 1 {
-					a, b = b, a
-				}
-				if !yield(a.row, b.row) {
-					return
-				}
+	leftPos := make([]int, len(leftKeys))
+	for p, e := range entries {
+		if e.side == 0 {
+			leftPos[e.row] = p
+		}
+	}
+	partners := func(li int, dst []int) []int {
+		p := leftPos[li]
+		for q := max(p-window, 0); q <= min(p+window, len(entries)-1); q++ {
+			if entries[q].side == 1 {
+				dst = append(dst, entries[q].row)
 			}
 		}
+		slices.Sort(dst)
+		return dst
 	}
-}
-
-// dedupSorted returns the sorted distinct strings of s (s is not
-// modified).
-func dedupSorted(s []string) []string {
-	if len(s) <= 1 {
-		return s
-	}
-	out := append([]string(nil), s...)
-	sort.Strings(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[i-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
+	return func() partnerFunc { return partners }
 }
 
 // runePrefix returns the first p runes of s (the whole string when
@@ -242,12 +244,13 @@ func runePrefix(s string, p int) string {
 // lowercased whole-tuple text.
 func sortKey(text string) string { return strings.ToLower(text) }
 
-// candidateGen selects the key-based strategy for cfg: Window or
+// candidates selects the key-based strategy for cfg: Window or
 // QGrams (validation has rejected both at once; with neither set the
-// default strategy, scorePostings, runs instead).
-func candidateGen(cfg Config, leftKeys, rightKeys []string) pairGen {
+// default strategy, scorePostings, runs instead). It returns a
+// constructor of per-shard partner functions.
+func candidates(cfg Config, leftKeys, rightKeys []string) func() partnerFunc {
 	if cfg.Window > 0 {
-		return windowPairs(leftKeys, rightKeys, cfg.Window)
+		return windowPartners(leftKeys, rightKeys, cfg.Window)
 	}
-	return qgramPairs(leftKeys, rightKeys, cfg.QGrams)
+	return qgramPartners(leftKeys, rightKeys, cfg.QGrams)
 }

@@ -44,7 +44,7 @@ func TestMatchContextPreCancelled(t *testing.T) {
 func TestMatchContextCancelAtEveryPoll(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	left, right := personsPair(42, 120)
-	for _, cfg := range []Config{{Parallelism: 1}, {Parallelism: 3}, {Window: 8, Parallelism: 3}} {
+	for _, cfg := range []Config{{Parallelism: 1}, {Parallelism: 3}, {Window: 8, Parallelism: 3}, {QGrams: 3, Parallelism: 3}} {
 		probe := testutil.CancelAtPoll(t, 0)
 		want, err := MatchContext(probe, left, right, cfg)
 		if err != nil {

@@ -20,18 +20,18 @@
 // accumulating one similarity per right tuple sharing a token
 // (exhaustive recall, since pairs sharing no token score 0). Sorted
 // neighborhood over the whole-tuple sort keys (Config.Window > 0) and
-// q-gram prefix blocking (Config.QGrams > 0) instead generate
-// candidate pairs and score each.
+// q-gram prefix blocking (Config.QGrams > 0) instead list each left
+// tuple's candidate right tuples and score each pair.
 //
 // # Parallelism and determinism
 //
 // Config.Parallelism sets the number of worker goroutines (0 means
-// GOMAXPROCS, 1 forces sequential). Three phases shard across the
-// parshard worker pool: the per-tuple precomputation (tokenizing,
-// corpus statistics, TFIDF term vectors), the candidate scoring,
-// and the per-cell averaging of the field-similarity matrix. All
-// similarity math runs over sorted term vectors with deterministic
-// float accumulation, so the Result — correspondences, duplicates,
+// GOMAXPROCS, 1 forces sequential). Three phases shard over
+// parshard.RangesContext: the per-tuple precomputation (tokenizing,
+// corpus statistics, TFIDF term vectors), the candidate scoring by
+// left row, and the per-cell averaging of the field-similarity
+// matrix. All similarity math runs over sorted term vectors with
+// deterministic float accumulation, so the Result — correspondences, duplicates,
 // matrix, statistics — is byte-identical at every worker count:
 // parallelism is purely a wall-clock knob.
 package dumas
@@ -153,11 +153,11 @@ type Result struct {
 // configuration selects conflicting candidate strategies.
 //
 // ctx is honored throughout: the per-tuple precomputation polls it
-// between row shards, the scoring between left rows (or pair chunks)
-// and the field-matrix averaging polls it between cells, so a
-// cancelled match returns promptly with ctx's error, all worker
-// goroutines joined and no partial result. A match that completes is
-// byte-identical to an uncancelled run.
+// between row shards, the scoring between left rows and the
+// field-matrix averaging between cells, so a cancelled match returns
+// promptly with ctx's error, all worker goroutines joined and no
+// partial result. A match that completes is byte-identical to an
+// uncancelled run.
 func MatchContext(ctx context.Context, left, right *relation.Relation, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -222,10 +222,11 @@ func tupleText(row relation.Row) string {
 // below it goroutine startup dominates.
 const precomputeMinRows = 128
 
-// pairChunk is the number of candidate pairs per scoring work unit.
+// pairChunk is the cross-product size at or below which the key-based
+// strategies score on one worker.
 const pairChunk = parshard.DefaultChunk
 
-// scoreShard is one shard's or chunk's scoring output.
+// scoreShard is one shard's scoring output.
 type scoreShard struct {
 	stats Stats
 	pairs []TuplePair
@@ -239,10 +240,10 @@ func (s *scoreShard) merge(o scoreShard) {
 }
 
 // findDuplicates is the full discovery step: sharded per-tuple
-// precomputation, sharded candidate scoring (term at a time by
-// default, a key-based pair stream otherwise), and the deterministic
-// ranked 1:1 top-k selection: the top MaxDuplicates pairs at or above
-// MinTupleSim.
+// precomputation, left-row-sharded candidate scoring (term at a time
+// by default, a key-based partner function otherwise), and the
+// deterministic ranked 1:1 top-k selection: the top MaxDuplicates
+// pairs at or above MinTupleSim.
 //
 // Each left and right tuple participates in at most one returned pair:
 // a real-world entity should contribute one aligned observation, and
@@ -354,28 +355,13 @@ func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Con
 			})
 			return keys
 		}
-		gen := candidateGen(cfg, keysOf(leftTexts), keysOf(rightTexts))
-		// Score the candidate stream across the worker pool. Tiny inputs
-		// fit in a single chunk; the pool would only add overhead.
-		scoreWorkers = workers
+		newPartners := candidates(cfg, keysOf(leftTexts), keysOf(rightTexts))
+		// Tiny inputs stay on one worker; more would only add overhead.
+		scoreWorkers = min(workers, nl)
 		if nl*nr <= pairChunk {
 			scoreWorkers = 1
 		}
-		out, err = parshard.RunContext(ctx, scoreWorkers, pairChunk,
-			parshard.Gen[[2]int](func(yield func([2]int) bool) {
-				gen(func(li, ri int) bool { return yield([2]int{li, ri}) })
-			}),
-			func() func([2]int, *scoreShard) {
-				return func(p [2]int, out *scoreShard) {
-					out.stats.CandidatePairs++
-					sim := strsim.DotTermVecs(leftVecs[p[0]], rightVecs[p[1]])
-					if sim >= minSim {
-						out.stats.Scored++
-						out.pairs = append(out.pairs, TuplePair{LeftRow: p[0], RightRow: p[1], Sim: sim})
-					}
-				}
-			},
-			(*scoreShard).merge)
+		out, err = scorePartners(ctx, scoreWorkers, leftVecs, rightVecs, minSim, newPartners)
 	}
 	if err != nil {
 		return nil, Stats{}, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"hummer/internal/datagen"
@@ -12,21 +13,25 @@ import (
 	"hummer/internal/strsim"
 )
 
-// oracleDuplicates is the reference duplicate search the term-at-a-time
-// scorer must reproduce bit for bit: a sequential corpus and term
-// vectors, every left×right pair scored with strsim.DotTermVecs, pairs
-// sharing no term skipped, then the ranked 1:1 pick.
-func oracleDuplicates(left, right *relation.Relation, maxDups int, minSim float64) ([]TuplePair, Stats) {
+// oracleDuplicates is the reference duplicate search every scoring
+// strategy must reproduce bit for bit: a sequential corpus and term
+// vectors, every left×right pair that cfg's candidate predicate
+// accepts scored with strsim.DotTermVecs, then the ranked 1:1 pick of
+// cfg.MaxDuplicates pairs at or above cfg.MinTupleSim.
+func oracleDuplicates(left, right *relation.Relation, cfg Config) ([]TuplePair, Stats) {
 	corpus := strsim.NewCorpus()
-	tokens := func(rel *relation.Relation) [][]string {
+	var lk, rk []string
+	tokens := func(rel *relation.Relation, keys *[]string) [][]string {
 		out := make([][]string, rel.Len())
 		for i := range out {
-			out[i] = strsim.Tokenize(tupleText(rel.Row(i)))
+			text := tupleText(rel.Row(i))
+			*keys = append(*keys, strings.ToLower(text))
+			out[i] = strsim.Tokenize(text)
 			corpus.AddDoc(out[i])
 		}
 		return out
 	}
-	lt, rt := tokens(left), tokens(right)
+	lt, rt := tokens(left, &lk), tokens(right, &rk)
 	lv := make([]strsim.TermVec, len(lt))
 	for i, t := range lt {
 		lv[i] = corpus.TermVec(t)
@@ -35,11 +40,19 @@ func oracleDuplicates(left, right *relation.Relation, maxDups int, minSim float6
 	for i, t := range rt {
 		rv[i] = corpus.TermVec(t)
 	}
+	candidate := func(li, ri int) bool { return shareTerm(lv[li], rv[ri]) }
+	switch {
+	case cfg.Window > 0:
+		candidate = windowPredicate(lk, rk, cfg.Window)
+	case cfg.QGrams > 0:
+		candidate = qgramPredicate(lk, rk, cfg.QGrams)
+	}
+	minSim, maxDups := cfg.MinTupleSim, cfg.MaxDuplicates
 	var stats Stats
 	var pairs []TuplePair
 	for li := range lv {
 		for ri := range rv {
-			if !shareTerm(lv[li], rv[ri]) {
+			if !candidate(li, ri) {
 				continue
 			}
 			stats.CandidatePairs++
@@ -86,6 +99,72 @@ func shareTerm(a, b strsim.TermVec) bool {
 	return false
 }
 
+// windowPredicate: cross-side tuples within w positions of each other
+// when left and right sort keys are merged and ordered by (key, side,
+// row).
+func windowPredicate(lk, rk []string, w int) func(li, ri int) bool {
+	type entry struct {
+		key       string
+		side, row int
+	}
+	var entries []entry
+	for i, k := range lk {
+		entries = append(entries, entry{k, 0, i})
+	}
+	for i, k := range rk {
+		entries = append(entries, entry{k, 1, i})
+	}
+	sort.Slice(entries, func(x, y int) bool {
+		a, b := entries[x], entries[y]
+		return a.key < b.key || a.key == b.key && (a.side < b.side || a.side == b.side && a.row < b.row)
+	})
+	lpos, rpos := make([]int, len(lk)), make([]int, len(rk))
+	for p, e := range entries {
+		if e.side == 0 {
+			lpos[e.row] = p
+		} else {
+			rpos[e.row] = p
+		}
+	}
+	return func(li, ri int) bool {
+		d := lpos[li] - rpos[ri]
+		return -w <= d && d <= w
+	}
+}
+
+// qgramPredicate: the two sort keys share a padded q-gram of their
+// first qgramPrefixRunes runes, and no more than maxQGramBlock right
+// tuples hold that gram.
+func qgramPredicate(lk, rk []string, q int) func(li, ri int) bool {
+	gramSet := func(key string) map[string]bool {
+		rs := []rune(key)
+		set := map[string]bool{}
+		for _, g := range strsim.QGrams(string(rs[:min(len(rs), qgramPrefixRunes)]), q) {
+			set[g] = true
+		}
+		return set
+	}
+	lg, rg := make([]map[string]bool, len(lk)), make([]map[string]bool, len(rk))
+	holders := map[string]int{}
+	for i, k := range lk {
+		lg[i] = gramSet(k)
+	}
+	for i, k := range rk {
+		rg[i] = gramSet(k)
+		for g := range rg[i] {
+			holders[g]++
+		}
+	}
+	return func(li, ri int) bool {
+		for g := range lg[li] {
+			if rg[ri][g] && holders[g] <= maxQGramBlock {
+				return true
+			}
+		}
+		return false
+	}
+}
+
 // requireSameDuplicates compares duplicates by row ids and the exact
 // bits of every Sim, and the stats exactly.
 func requireSameDuplicates(t *testing.T, label string, want, got []TuplePair, wantSt, gotSt Stats) {
@@ -118,26 +197,34 @@ func personsPair(seed int64, n int) (*relation.Relation, *relation.Relation) {
 	return left.Rel, right.Rel
 }
 
-// TestFindDuplicatesMatchesOracle: the default strategy's duplicate
-// search equals the brute-force DotTermVecs reference — row ids, Sim
-// bits and Stats — at every worker count, seed, k and MinTupleSim.
+// TestFindDuplicatesMatchesOracle: every strategy's duplicate search
+// equals the brute-force DotTermVecs reference over its candidate
+// predicate — row ids, Sim bits and Stats — at every worker count,
+// seed, k and MinTupleSim.
 func TestFindDuplicatesMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{42, 123, 456} {
 		left, right := personsPair(seed, 120)
-		if left.Len()+right.Len() < precomputeMinRows {
+		if left.Len()+right.Len() < precomputeMinRows || left.Len()*right.Len() <= pairChunk {
 			t.Fatalf("seed %d: %d+%d rows do not engage sharding", seed, left.Len(), right.Len())
 		}
-		for _, k := range []int{1, 3, 10} {
-			for _, minSim := range []float64{0, 0.01, 0.25} {
-				want, wantSt := oracleDuplicates(left, right, k, minSim)
-				for _, par := range []int{1, 2, 3, 8} {
-					cfg := Config{MaxDuplicates: k, MinTupleSim: minSim, Parallelism: par}
-					got, gotSt, err := findDuplicates(context.Background(), left, right, cfg)
-					if err != nil {
-						t.Fatal(err)
+		for _, strategy := range []Config{{}, {Window: 8}, {QGrams: 3}} {
+			for _, k := range []int{1, 3, 10} {
+				for _, minSim := range []float64{0, 0.01, 0.25} {
+					cfg := strategy
+					cfg.MaxDuplicates, cfg.MinTupleSim = k, minSim
+					want, wantSt := oracleDuplicates(left, right, cfg)
+					if wantSt.CandidatePairs == 0 {
+						t.Fatalf("seed %d %+v: oracle has no candidates", seed, cfg)
 					}
-					requireSameDuplicates(t, fmt.Sprintf("seed %d k %d minSim %v p %d", seed, k, minSim, par),
-						want, got, wantSt, gotSt)
+					for _, par := range []int{1, 2, 3, 8} {
+						cfg.Parallelism = par
+						got, gotSt, err := findDuplicates(context.Background(), left, right, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameDuplicates(t, fmt.Sprintf("seed %d %+v", seed, cfg),
+							want, got, wantSt, gotSt)
+					}
 				}
 			}
 		}
@@ -193,7 +280,7 @@ func TestFindDuplicatesOracleEdgeCases(t *testing.T) {
 	} {
 		for _, k := range []int{1, 3, 10} {
 			for _, minSim := range []float64{0, 0.01, 0.25} {
-				want, wantSt := oracleDuplicates(tc.left, tc.right, k, minSim)
+				want, wantSt := oracleDuplicates(tc.left, tc.right, Config{MaxDuplicates: k, MinTupleSim: minSim})
 				for _, par := range []int{1, 2, 3, 8} {
 					cfg := Config{MaxDuplicates: k, MinTupleSim: minSim, Parallelism: par}
 					got, gotSt, err := findDuplicates(context.Background(), tc.left, tc.right, cfg)

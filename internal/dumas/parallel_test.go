@@ -100,7 +100,7 @@ func TestPropertyParallelDeterministic(t *testing.T) {
 // TestParallelDeterministicLargeInput forces an input big enough to
 // engage every sharded phase — precomputation and the default
 // strategy's row-sharded scoring (≥ precomputeMinRows rows), the
-// window strategy's chunked pair scoring (> pairChunk candidates) —
+// window strategy's multi-worker scoring (> pairChunk candidates) —
 // and checks byte-identity across worker counts. A shared organization
 // column gives every cross pair a common token, so the default
 // strategy scores all nl·nr candidates.

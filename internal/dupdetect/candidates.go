@@ -2,6 +2,7 @@ package dupdetect
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,19 +10,19 @@ import (
 	"hummer/internal/strsim"
 )
 
-// Candidate-pair generation for the key-based strategies — sorted
+// Candidate partners for the key-based strategies — sorted
 // neighborhood (Config.Window), prefix blocking (Config.Blocking) and
 // q-gram blocking (Config.QGrams), described in the package doc. Each
-// is a pairGen: a deterministic stream of (a, b) row-index pairs,
-// a < b, in the strategy's canonical order. The detector consumes the
-// stream either inline (sequential) or chunked across a worker pool
-// (parallel); the canonical order is what makes the two paths produce
-// byte-identical results. The exhaustive default streams nothing:
-// scoreExhaustive (shard.go) walks its row ranges directly.
+// is a partnerFunc: row a's candidate partners, every row b > a that
+// the strategy pairs with a, each once and ascending. scoreRows
+// (shard.go) enumerates them row by row over the same folded row
+// shards the exhaustive default uses, so every strategy scores its
+// pairs in ascending (A, B) order. The exhaustive default has no
+// partner function: its partners are all later rows.
 
-// pairGen enumerates candidate pairs in canonical order. It stops
-// early when yield returns false.
-type pairGen func(yield func(a, b int) bool)
+// partnerFunc appends row a's candidate partners — rows b > a,
+// ascending, each once — to dst and returns it.
+type partnerFunc func(a int, dst []int) []int
 
 // maxBlockRows caps a single block's size for the blocking strategy: a
 // prefix shared by this many rows does not discriminate entities, and
@@ -55,36 +56,39 @@ func (m *measure) sortKeys(ctx context.Context) []string {
 	return keys
 }
 
-// windowPairs streams the sorted-neighborhood pairs: rows ordered by
-// key, every pair within `window` positions, in (position, distance)
-// order with a < b.
-func windowPairs(keys []string, window int) pairGen {
+// windowPartners pairs the rows within `window` positions of each
+// other in the stable sort by key: row a's partners are the later rows
+// among its neighbors in that order. It keeps no scratch, so every
+// shard shares one.
+func windowPartners(keys []string, window int) func() partnerFunc {
 	n := len(keys)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(x, y int) bool { return keys[order[x]] < keys[order[y]] })
-	return func(yield func(a, b int) bool) {
-		for pos := 0; pos < n; pos++ {
-			for d := 1; d <= window && pos+d < n; d++ {
-				a, b := order[pos], order[pos+d]
-				if a > b {
-					a, b = b, a
-				}
-				if !yield(a, b) {
-					return
-				}
+	pos := make([]int, n)
+	for p, i := range order {
+		pos[i] = p
+	}
+	partners := func(a int, dst []int) []int {
+		p := pos[a]
+		for q := max(p-window, 0); q <= min(p+window, n-1); q++ {
+			if b := order[q]; b > a {
+				dst = append(dst, b)
 			}
 		}
+		slices.Sort(dst)
+		return dst
 	}
+	return func() partnerFunc { return partners }
 }
 
-// blockStats counts what the key-based strategies threw away. The
-// generator writes it while streaming; DetectContext folds it into the
-// Result's Stats only after the scoring run has joined the generator
-// goroutine, so no synchronization is needed.
-type blockStats struct {
+// blockIndex is the sparse row↔block graph of a blocking strategy:
+// the kept blocks of every pass and, per row, the blocks holding it.
+type blockIndex struct {
+	blocks    [][]int // member rows of each kept block, ascending
+	rowBlocks [][]int // per row, the kept blocks it belongs to
 	// skipped counts oversized blocks (more than maxBlockRows rows
 	// sharing one key) that were not paired.
 	skipped int
@@ -92,80 +96,91 @@ type blockStats struct {
 	skippedRows int
 }
 
-// multiPassBlocks is the shared multi-pass block-emission machinery
-// behind the key-based blocking strategies. keysOf returns the
-// blocking keys of row i under selected attribute k (nil or empty
-// keys are skipped; NULL cells are already filtered by the caller's
-// keysOf). Passes run in selected-attribute order; within a pass,
-// blocks run in sorted key order and pairs in row order. Oversized
+// buildBlocks is the shared multi-pass block construction behind the
+// key-based blocking strategies. keysOf returns the blocking keys of
+// row i under selected attribute k (NULL cells are skipped, and so are
+// empty keys); rows sharing a key in one pass form a block. Oversized
 // blocks (more than maxBlockRows members) carry almost no
-// discriminating power and are skipped — counted in st rather than
-// dropped silently. The seen set deduplicates across keys and passes,
-// so each pair is yielded exactly once, deterministically.
-func multiPassBlocks(m *measure, st *blockStats, keysOf func(i, k int) []string) pairGen {
+// discriminating power and are skipped — counted rather than dropped
+// silently — and single-row blocks pair nothing. ctx is polled every
+// CancelStride rows of each pass; on cancellation the index is partial
+// and the scoring run, which re-checks ctx on entry, discards it.
+func buildBlocks(ctx context.Context, m *measure, keysOf func(i, k int) []string) *blockIndex {
 	n := len(m.texts)
-	return func(yield func(a, b int) bool) {
-		seen := make(map[uint64]struct{})
-		for k := range m.cols {
-			blocks := make(map[string][]int)
-			for i := 0; i < n; i++ {
-				if m.row(i)[k].null {
+	bi := &blockIndex{rowBlocks: make([][]int, n)}
+	for k := range m.cols {
+		var pass [][]int
+		ids := make(map[string]int)
+		for i := 0; i < n; i++ {
+			if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
+				return bi
+			}
+			if m.row(i)[k].null {
+				continue
+			}
+			for _, key := range keysOf(i, k) {
+				if key == "" {
 					continue
 				}
-				for _, key := range keysOf(i, k) {
-					if key == "" {
-						continue
-					}
-					blocks[key] = append(blocks[key], i)
+				id, ok := ids[key]
+				if !ok {
+					id = len(pass)
+					ids[key] = id
+					pass = append(pass, nil)
+				}
+				// A key repeated within one cell joins the block once:
+				// rows arrive in ascending order, so i would be last.
+				if rows := pass[id]; len(rows) == 0 || rows[len(rows)-1] != i {
+					pass[id] = append(rows, i)
 				}
 			}
-			keys := make([]string, 0, len(blocks))
-			for key := range blocks {
-				keys = append(keys, key)
-			}
-			sort.Strings(keys)
-			for _, key := range keys {
-				rows := blocks[key]
-				if len(rows) > maxBlockRows {
-					st.skipped++
-					st.skippedRows += len(rows)
-					continue
+		}
+		for _, rows := range pass {
+			switch {
+			case len(rows) > maxBlockRows:
+				bi.skipped++
+				bi.skippedRows += len(rows)
+			case len(rows) > 1:
+				for _, r := range rows {
+					bi.rowBlocks[r] = append(bi.rowBlocks[r], len(bi.blocks))
 				}
-				if len(rows) < 2 {
-					continue
-				}
-				for x := 0; x < len(rows); x++ {
-					for y := x + 1; y < len(rows); y++ {
-						a, b := rows[x], rows[y]
-						id := uint64(a)<<32 | uint64(b)
-						if _, dup := seen[id]; dup {
-							continue
-						}
-						seen[id] = struct{}{}
-						if !yield(a, b) {
-							return
-						}
-					}
-				}
+				bi.blocks = append(bi.blocks, rows)
 			}
 		}
 	}
+	return bi
 }
 
-// blockingPairs streams the multi-pass prefix-blocking pairs: one key
-// per cell, the first prefixLen runes of the normalized value. buf is
-// reused across cells — multiPassBlocks consumes the keys before the
-// next keysOf call.
-func blockingPairs(m *measure, st *blockStats, prefixLen int) pairGen {
-	var buf [1]string
-	return multiPassBlocks(m, st, func(i, k int) []string {
-		key := runePrefix(m.row(i)[k].runes, prefixLen)
-		if key == "" {
-			return nil
+// partners returns a partner function with its own dedup stamp: row
+// a's partners are the later rows of its blocks, each once. One per
+// shard — the stamp is scratch.
+func (bi *blockIndex) partners() partnerFunc {
+	stamp := make([]int, len(bi.rowBlocks)) // stamp[b] == a+1: b already a partner of a
+	return func(a int, dst []int) []int {
+		for _, id := range bi.rowBlocks[a] {
+			rows := bi.blocks[id]
+			i, _ := slices.BinarySearch(rows, a+1)
+			for _, b := range rows[i:] {
+				if stamp[b] != a+1 {
+					stamp[b] = a + 1
+					dst = append(dst, b)
+				}
+			}
 		}
-		buf[0] = key
+		slices.Sort(dst)
+		return dst
+	}
+}
+
+// blockingKeys is prefix blocking's keysOf: one key per cell, the
+// first prefixLen runes of the normalized value. buf is reused across
+// cells — buildBlocks consumes the keys before the next call.
+func blockingKeys(m *measure, prefixLen int) func(i, k int) []string {
+	var buf [1]string
+	return func(i, k int) []string {
+		buf[0] = runePrefix(m.row(i)[k].runes, prefixLen)
 		return buf[:]
-	})
+	}
 }
 
 // runePrefix returns the first p runes of rs as a string (the whole
@@ -183,55 +198,37 @@ func runePrefix(rs []rune, p int) string {
 // value, short enough that keys stay discriminating.
 const qgramPrefixRunes = 10
 
-// qgramPairs streams the multi-pass q-gram blocking pairs — the dumas
-// candidate scheme ported to single-relation detection: every padded
-// q-gram of the value's normalized prefix is a blocking key. Unlike
-// plain prefix blocking, a typo inside the prefix leaves the value's
-// other grams intact, so the pair is still discovered through an
-// agreeing gram. Empty (non-null) values yield no keys: their grams
-// would be pure padding, herding every empty cell of an attribute
-// into one meaningless block.
-func qgramPairs(m *measure, st *blockStats, q int) pairGen {
-	return multiPassBlocks(m, st, func(i, k int) []string {
+// qgramKeys is q-gram blocking's keysOf — the dumas candidate scheme
+// ported to single-relation detection: every padded q-gram of the
+// value's normalized prefix is a blocking key. Unlike plain prefix
+// blocking, a typo inside the prefix leaves the value's other grams
+// intact, so the pair is still discovered through an agreeing gram.
+// Empty (non-null) values yield no keys: their grams would be pure
+// padding, herding every empty cell of an attribute into one
+// meaningless block.
+func qgramKeys(m *measure, q int) func(i, k int) []string {
+	return func(i, k int) []string {
 		rs := m.row(i)[k].runes
 		if len(rs) == 0 {
 			return nil
 		}
-		return dedupSortedStrings(strsim.QGrams(runePrefix(rs, qgramPrefixRunes), q))
-	})
+		return strsim.QGrams(runePrefix(rs, qgramPrefixRunes), q)
+	}
 }
 
-// dedupSortedStrings returns the sorted distinct strings of s,
-// reordering s in place.
-func dedupSortedStrings(s []string) []string {
-	if len(s) <= 1 {
-		return s
+// candidates selects the key-based strategy for cfg (one of Window,
+// Blocking and QGrams is set) over the measured relation. It returns a
+// constructor of per-shard partner functions and the block index's
+// skip counters (zero for Window). Config validation has already
+// rejected conflicting settings.
+func candidates(ctx context.Context, m *measure, cfg Config) (newPartners func() partnerFunc, skipped, skippedRows int) {
+	if cfg.Window > 0 {
+		return windowPartners(m.sortKeys(ctx), cfg.Window), 0, 0
 	}
-	sort.Strings(s)
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[i-1] {
-			s[w] = s[i]
-			w++
-		}
+	keysOf := qgramKeys(m, cfg.QGrams)
+	if cfg.Blocking > 0 {
+		keysOf = blockingKeys(m, cfg.Blocking)
 	}
-	return s[:w]
-}
-
-// candidateGen selects the key-based strategy for cfg (one of Window,
-// Blocking and QGrams is set) over the measured relation and returns
-// the generator plus the block counters it will fill while streaming
-// (always zero for Window). Config validation has already rejected
-// conflicting settings. ctx bounds the eager sort-key materialization
-// of the Window strategy.
-func candidateGen(ctx context.Context, m *measure, cfg Config) (pairGen, *blockStats) {
-	st := &blockStats{}
-	switch {
-	case cfg.Window > 0:
-		return windowPairs(m.sortKeys(ctx), cfg.Window), st
-	case cfg.Blocking > 0:
-		return blockingPairs(m, st, cfg.Blocking), st
-	default:
-		return qgramPairs(m, st, cfg.QGrams), st
-	}
+	bi := buildBlocks(ctx, m, keysOf)
+	return bi.partners, bi.skipped, bi.skippedRows
 }

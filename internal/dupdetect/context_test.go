@@ -73,7 +73,7 @@ func TestDetectContextPreCancelled(t *testing.T) {
 }
 
 // TestDetectContextCancelAtEveryPoll cancels a detection at each of
-// its ctx polls in turn — measure, generator, scoring and clustering
+// its ctx polls in turn — measure, candidate build, scoring and clustering
 // alike, for every candidate strategy — and requires every one to
 // return context.Canceled with no partial result and no goroutine left
 // behind; one poll later than the last, the run completes identical to
@@ -87,9 +87,9 @@ func TestDetectContextCancelAtEveryPoll(t *testing.T) {
 	}{
 		{Config{Parallelism: 1}, 128},
 		{Config{Parallelism: 3}, 128},
-		{Config{Window: 8, Parallelism: 3}, 12},
-		{Config{Blocking: 3, Parallelism: 3}, 11},
-		{Config{QGrams: 3, Parallelism: 3}, 23},
+		{Config{Window: 8, Parallelism: 3}, 129},
+		{Config{Blocking: 3, Parallelism: 3}, 133},
+		{Config{QGrams: 3, Parallelism: 3}, 133},
 	} {
 		probe := testutil.CancelAtPoll(t, 0)
 		want, err := DetectContext(probe, rel, tc.cfg)
@@ -184,6 +184,17 @@ func TestSkippedBlockStats(t *testing.T) {
 	}
 	if res.Stats.CandidatePairs != 0 {
 		t.Errorf("CandidatePairs = %d, want 0 (the only block was skipped)", res.Stats.CandidatePairs)
+	}
+
+	// Under q-gram blocking every oversized block holds all n rows, and
+	// each row once, even when its prefix repeats a gram ("aaa").
+	res, err = DetectContext(t.Context(), rel, Config{Threshold: 0.8, QGrams: 3, Attributes: []string{"Name"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.SkippedBlocks == 0 || res.Stats.SkippedBlockRows != res.Stats.SkippedBlocks*n {
+		t.Errorf("q-gram run skipped %d blocks holding %d rows, want each block to hold all %d rows once",
+			res.Stats.SkippedBlocks, res.Stats.SkippedBlockRows, n)
 	}
 
 	// A window-based run never skips blocks: the counters stay zero.

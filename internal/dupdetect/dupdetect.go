@@ -40,11 +40,11 @@
 // # Parallelism and determinism
 //
 // Config.Parallelism sets the number of worker goroutines scoring
-// candidate pairs (0 means GOMAXPROCS, 1 forces sequential). The
-// exhaustive strategy folds row j with row n−1−j and gives each worker
-// a contiguous range of the ⌈n/2⌉ fold indices; the key-based
-// strategies stream chunks of candidates to a worker pool. Outputs fold
-// back in canonical order, so the Result — clusters, duplicate and
+// candidate pairs (0 means GOMAXPROCS, 1 forces sequential). Every
+// strategy scores each row's candidate partners once, in the shard that
+// owns the row: row j is folded with row n−1−j and each worker gets a
+// contiguous range of the ⌈n/2⌉ fold indices. Outputs fold back in
+// ascending row order, so the Result — clusters, duplicate and
 // borderline pair order, statistics — is byte-identical across all
 // worker counts: parallelism is purely a wall-clock knob.
 package dupdetect
@@ -170,10 +170,11 @@ type Result struct {
 	// Clusters lists row indices per cluster, each sorted ascending.
 	Clusters [][]int
 	// Duplicates are the pairs scored at or above the threshold, in
-	// candidate order.
+	// ascending (A, B) order under every candidate strategy.
 	Duplicates []ScoredPair
-	// Borderline are pairs in [0.9·threshold, threshold): the demo
-	// GUI shows these as "unsure cases" for the user to decide.
+	// Borderline are pairs in [0.9·threshold, threshold), in ascending
+	// (A, B) order: the demo GUI shows these as "unsure cases" for the
+	// user to decide.
 	Borderline []ScoredPair
 	// SelectedAttributes are the attributes the similarity used.
 	SelectedAttributes []string
@@ -182,12 +183,11 @@ type Result struct {
 }
 
 // DetectContext finds duplicate clusters in rel, honoring ctx: the
-// measure precomputation polls it between row shards and the pair
-// scoring checks it once per row (exhaustive) or at chunk boundaries
-// (key-based strategies), so a cancelled detection returns promptly
-// with ctx's error, all worker goroutines joined and no partial
-// result. A detection that completes is byte-identical to
-// an uncancelled run.
+// measure precomputation polls it between row shards, the key-based
+// candidate builds every CancelStride rows and the pair scoring once
+// per row, so a cancelled detection returns promptly with ctx's error,
+// all worker goroutines joined and no partial result. A detection that
+// completes is byte-identical to an uncancelled run.
 func DetectContext(ctx context.Context, rel *relation.Relation, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	strategies := 0
@@ -226,22 +226,18 @@ func DetectContext(ctx context.Context, rel *relation.Relation, cfg Config) (*Re
 
 	_, ssp := obs.StartSpan(ctx, "detect.score")
 	defer ssp.End()
-	workers := scoreWorkers(cfg.Parallelism, rel.Len())
-	var out shardResult
-	if strategies == 0 {
-		workers = min(workers, (rel.Len()+1)/2)
-		out, err = scoreExhaustive(ctx, m, cfg, workers)
-	} else {
-		gen, blocks := candidateGen(ctx, m, cfg)
-		out, err = scorePairs(ctx, m, cfg, workers, gen)
-		// Safe to read now: the generator goroutine that wrote the
-		// block counters is joined before scorePairs returns.
-		out.stats.SkippedBlocks = blocks.skipped
-		out.stats.SkippedBlockRows = blocks.skippedRows
+	workers := min(scoreWorkers(cfg.Parallelism, rel.Len()), (rel.Len()+1)/2)
+	var newPartners func() partnerFunc
+	var skipped, skippedRows int
+	if strategies > 0 {
+		newPartners, skipped, skippedRows = candidates(ctx, m, cfg)
 	}
+	out, err := scoreRows(ctx, m, cfg, workers, newPartners)
 	if err != nil {
 		return nil, err
 	}
+	out.stats.SkippedBlocks = skipped
+	out.stats.SkippedBlockRows = skippedRows
 	ssp.SetInt("workers", workers)
 	ssp.SetInt("candidates", out.stats.CandidatePairs)
 	ssp.SetInt("compared", out.stats.Compared)

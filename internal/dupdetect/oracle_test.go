@@ -1,10 +1,14 @@
 package dupdetect
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -47,11 +51,90 @@ func refUpperBound(m *measure, a, b int) float64 {
 	return num / den * m.evidenceFactor(evidence)
 }
 
+// refCandidates is the reference candidate enumeration of the
+// key-based strategies, written from their definitions without the
+// product's partner functions. Window walks the stable sort by key and
+// pairs every row with the next Window rows; Blocking and QGrams walk
+// every block of every pass in sorted key order, count the oversized
+// blocks, and keep each pair once through a seen set. The pairs come
+// back sorted by (A, B).
+func refCandidates(m *measure, cfg Config) (pairs [][2]int, skipped, skippedRows int) {
+	n := len(m.texts)
+	add := func(a, b int) {
+		pairs = append(pairs, [2]int{min(a, b), max(a, b)})
+	}
+	if cfg.Window > 0 {
+		keys := make([]string, n)
+		for i := range keys {
+			for k, c := range m.row(i) {
+				if !c.null {
+					keys[i] += m.texts[i][k] + " "
+				}
+			}
+		}
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(x, y int) bool { return keys[order[x]] < keys[order[y]] })
+		for pos := range order {
+			for d := 1; d <= cfg.Window && pos+d < n; d++ {
+				add(order[pos], order[pos+d])
+			}
+		}
+	} else {
+		prefix := func(rs []rune, p int) string { return string(rs[:min(len(rs), p)]) }
+		seen := map[[2]int]bool{}
+		for k := range m.cols {
+			blocks := map[string][]int{}
+			for i := 0; i < n; i++ {
+				c := m.row(i)[k]
+				if c.null {
+					continue
+				}
+				keys := map[string]bool{}
+				switch {
+				case cfg.Blocking > 0:
+					keys[prefix(c.runes, cfg.Blocking)] = true
+				case len(c.runes) > 0:
+					for _, g := range strsim.QGrams(prefix(c.runes, qgramPrefixRunes), cfg.QGrams) {
+						keys[g] = true
+					}
+				}
+				for key := range keys {
+					if key != "" {
+						blocks[key] = append(blocks[key], i)
+					}
+				}
+			}
+			for _, key := range slices.Sorted(maps.Keys(blocks)) {
+				rows := blocks[key]
+				if len(rows) > maxBlockRows {
+					skipped++
+					skippedRows += len(rows)
+					continue
+				}
+				for x := range rows {
+					for _, b := range rows[x+1:] {
+						if p := [2]int{rows[x], b}; !seen[p] {
+							seen[p] = true
+							add(rows[x], b)
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.SortFunc(pairs, func(p, q [2]int) int {
+		return cmp.Or(cmp.Compare(p[0], q[0]), cmp.Compare(p[1], q[1]))
+	})
+	return pairs, skipped, skippedRows
+}
+
 // refDetect is the reference detection: a sequential measure, the
 // candidates consumed in one plain loop (an explicit double loop for
-// the exhaustive strategy, the strategy's own generator otherwise),
-// each filtered by refUpperBound and scored by similarity, then the
-// transitive closure.
+// the exhaustive strategy, refCandidates otherwise), each filtered by
+// refUpperBound and scored by similarity, then the transitive closure.
 func refDetect(t *testing.T, rel *relation.Relation, cfg Config) *Result {
 	t.Helper()
 	cfg = cfg.withDefaults()
@@ -71,11 +154,11 @@ func refDetect(t *testing.T, rel *relation.Relation, cfg Config) *Result {
 	}
 	res := &Result{SelectedAttributes: attrs}
 	var sc strsim.Scratch
-	score := func(a, b int) bool {
+	score := func(a, b int) {
 		res.Stats.CandidatePairs++
 		if !cfg.DisableFilter && refUpperBound(m, a, b) < cfg.Threshold {
 			res.Stats.FilteredOut++
-			return true
+			return
 		}
 		res.Stats.Compared++
 		switch sim := m.similarity(a, b, &sc); {
@@ -84,7 +167,6 @@ func refDetect(t *testing.T, rel *relation.Relation, cfg Config) *Result {
 		case sim >= cfg.Threshold*0.9:
 			res.Borderline = append(res.Borderline, ScoredPair{A: a, B: b, Sim: sim})
 		}
-		return true
 	}
 	if cfg.Window == 0 && cfg.Blocking == 0 && cfg.QGrams == 0 {
 		for a := 0; a < rel.Len(); a++ {
@@ -93,9 +175,11 @@ func refDetect(t *testing.T, rel *relation.Relation, cfg Config) *Result {
 			}
 		}
 	} else {
-		gen, st := candidateGen(context.Background(), m, seq)
-		gen(score)
-		res.Stats.SkippedBlocks, res.Stats.SkippedBlockRows = st.skipped, st.skippedRows
+		pairs, skipped, skippedRows := refCandidates(m, cfg)
+		for _, p := range pairs {
+			score(p[0], p[1])
+		}
+		res.Stats.SkippedBlocks, res.Stats.SkippedBlockRows = skipped, skippedRows
 	}
 	dsu := newUnionFind(rel.Len())
 	for _, p := range res.Duplicates {
@@ -194,8 +278,8 @@ func headRows(t *testing.T, rel *relation.Relation, n int) *relation.Relation {
 // the plain double loop — Stats, pair order, Sim bits and clusters —
 // for tiny and odd row counts (the middle row of an odd n belongs to
 // one shard only) and for worker counts above ⌈n/2⌉ (capped). Each
-// cell is checked through DetectContext and through scoreExhaustive
-// called directly at min(Parallelism, ⌈n/2⌉) shards, so the fold runs
+// cell is checked through DetectContext and through scoreRows with no
+// partner function called directly at min(Parallelism, ⌈n/2⌉) shards, so the fold runs
 // even where the single-chunk rule keeps DetectContext inline.
 func TestExhaustiveFoldMatchesOracle(t *testing.T) {
 	full := datagenDirty(42, 16)
@@ -225,7 +309,7 @@ func TestExhaustiveFoldMatchesOracle(t *testing.T) {
 			}
 			requireSameResult(t, label, want, got)
 
-			out, err := scoreExhaustive(t.Context(), m, cfg.withDefaults(), min(par, (n+1)/2))
+			out, err := scoreRows(t.Context(), m, cfg.withDefaults(), min(par, (n+1)/2), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,9 +52,9 @@ func TestPropertyParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelDeterministicLargerThanChunk forces the chunked path
-// (more candidate pairs than one chunk) so the cross-chunk merge order
-// is actually exercised.
+// TestParallelDeterministicLargerThanChunk forces the multi-worker
+// path (more candidate pairs than pairChunkSize) so the cross-shard
+// merge order is actually exercised.
 func TestParallelDeterministicLargerThanChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	rel := randomDirtyTable(rng)

@@ -7,15 +7,17 @@ import (
 	"hummer/internal/strsim"
 )
 
-// Sharded pair scoring on parshard. The exhaustive default scores
-// folded row ranges in parshard.RangesContext shards (scoreExhaustive);
-// the key-based strategies stream candidates through the
-// parshard.RunContext pool in fixed-size chunks (scorePairs). Workers
-// keep private scratch and outputs, folded back in canonical order, so
-// the merged Result is byte-identical to the sequential path at any
-// worker count (the parshard determinism contract).
+// Sharded pair scoring on parshard. Every candidate strategy scores
+// folded row ranges in parshard.RangesContext shards (scoreRows): each
+// row's partners — every later row by default, a partnerFunc's list
+// for the key-based strategies — are scored once, by the shard that
+// owns the row. Shards keep private scratch and outputs, folded back in
+// ascending row order, so the merged Result is byte-identical to the
+// sequential path at any worker count (the parshard determinism
+// contract).
 
-// pairChunkSize is the number of candidate pairs per work unit.
+// pairChunkSize is the all-pairs count at or below which scoring stays
+// on one worker.
 const pairChunkSize = parshard.DefaultChunk
 
 // shardResult is one shard's (or the whole sequential run's) scoring
@@ -26,8 +28,8 @@ type shardResult struct {
 	borderline []ScoredPair
 }
 
-// merge appends part after into: the fold both scoring shapes apply in
-// canonical order.
+// merge appends part after into: the fold scoreRows applies in
+// ascending row order.
 func (into *shardResult) merge(part shardResult) {
 	into.stats.CandidatePairs += part.stats.CandidatePairs
 	into.stats.FilteredOut += part.stats.FilteredOut
@@ -62,8 +64,8 @@ func (ps *pairScorer) score(a, b int, out *shardResult) {
 
 // scoreWorkers is the number of goroutines that score the candidates
 // of an n-row relation at the given Parallelism (0 = GOMAXPROCS).
-// Tiny inputs fit in a single chunk; the pool would only add
-// scheduling overhead (the result is identical either way).
+// Tiny inputs stay on one worker; more would only add scheduling
+// overhead (the result is identical either way).
 func scoreWorkers(parallelism, n int) int {
 	if n*(n-1)/2 <= pairChunkSize {
 		return 1
@@ -71,25 +73,40 @@ func scoreWorkers(parallelism, n int) int {
 	return parshard.Workers(parallelism)
 }
 
-// scoreExhaustive scores every pair in row-major order over at most
-// ⌈n/2⌉ shards. Fold index j owns rows j and n−1−j; shard s with fold
-// range [lo, hi) scores front rows [lo, hi) and back rows
+// scoreRows scores each row's partners, rows ascending, over at most
+// ⌈n/2⌉ shards. newPartners builds one partnerFunc per shard; nil
+// means every later row (the exhaustive default). Fold index j owns
+// rows j and n−1−j, which evens out the exhaustive triangle; shard s
+// with fold range [lo, hi) scores front rows [lo, hi) and back rows
 // [max(n−hi, ⌈n/2⌉), n−lo) — the max keeps an odd n's middle row out
 // of the backs. Fronts in shard order, then backs in reverse shard
-// order, are the rows in ascending order. ctx is polled once per row.
-func scoreExhaustive(ctx context.Context, m *measure, cfg Config, workers int) (shardResult, error) {
+// order, are the rows in ascending order, so pairs come out in
+// ascending (A, B) order. ctx is polled once per row.
+func scoreRows(ctx context.Context, m *measure, cfg Config, workers int, newPartners func() partnerFunc) (shardResult, error) {
 	n := len(m.texts)
 	half := (n + 1) / 2
 	fronts := make([]shardResult, workers)
 	backs := make([]shardResult, workers)
 	err := parshard.RangesContext(ctx, workers, half, func(s, lo, hi int) {
 		ps := &pairScorer{m: m, cfg: cfg}
+		var partners partnerFunc
+		if newPartners != nil {
+			partners = newPartners()
+		}
+		var buf []int
 		rows := func(from, to int, out *shardResult) bool {
 			for a := from; a < to; a++ {
 				if parshard.Canceled(ctx) {
 					return false
 				}
-				for b := a + 1; b < n; b++ {
+				if partners == nil {
+					for b := a + 1; b < n; b++ {
+						ps.score(a, b, out)
+					}
+					continue
+				}
+				buf = partners(a, buf[:0])
+				for _, b := range buf {
 					ps.score(a, b, out)
 				}
 			}
@@ -110,21 +127,4 @@ func scoreExhaustive(ctx context.Context, m *measure, cfg Config, workers int) (
 		out.merge(backs[s])
 	}
 	return out, nil
-}
-
-// scorePairs runs the candidate stream through the given number of
-// worker goroutines and returns the merged, canonically ordered
-// scoring output. ctx is checked at chunk boundaries: a cancelled run
-// returns ctx's error with every goroutine — workers and the candidate
-// generator — joined, and no partial result.
-func scorePairs(ctx context.Context, m *measure, cfg Config, workers int, gen pairGen) (shardResult, error) {
-	return parshard.RunContext(ctx, workers, pairChunkSize,
-		parshard.Gen[[2]int](func(yield func([2]int) bool) {
-			gen(func(a, b int) bool { return yield([2]int{a, b}) })
-		}),
-		func() func([2]int, *shardResult) {
-			ps := &pairScorer{m: m, cfg: cfg}
-			return func(p [2]int, out *shardResult) { ps.score(p[0], p[1], out) }
-		},
-		(*shardResult).merge)
 }

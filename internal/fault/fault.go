@@ -8,7 +8,7 @@
 // A long-lived query service must treat a panic the way it treats any
 // other per-query failure: one bad query degrades one query, never the
 // process. Every goroutine the query pipeline starts — parshard
-// workers and generators, the streaming-Rows producer, qcache
+// shards, the streaming-Rows producer, qcache
 // singleflight leaders, HTTP handlers — recovers at its boundary and
 // converts the panic into an *InternalError carrying the recovered
 // value and the stack captured at the recovery point. The query fails

@@ -58,17 +58,11 @@ import (
 )
 
 // The registered fault points. Every name here is a live Hit call in
-// the pipeline. The chaos storm asserts that each of them is hit
-// except SiteParshardGenerator, which only the key-based candidate
-// strategies (Window, Blocking, QGrams) reach.
+// the pipeline, and the chaos storm asserts that each of them is hit.
 const (
-	// SiteParshardWorker fires inside worker-pool chunk processing
-	// (both the parallel workers and the single-worker inline path)
-	// and once per contiguous shard of RangesContext.
+	// SiteParshardWorker fires once per contiguous shard of
+	// parshard.RangesContext, including the single-shard inline run.
 	SiteParshardWorker = "parshard.worker"
-	// SiteParshardGenerator fires in the canonical-order generator
-	// goroutine feeding the worker pool.
-	SiteParshardGenerator = "parshard.generator"
 	// SiteQCacheLeader fires inside a singleflight leader's compute,
 	// with waiters attached — the cache-poisoning hazard zone.
 	SiteQCacheLeader = "qcache.leader.compute"
@@ -94,8 +88,7 @@ const (
 // coverage checklist.
 func Sites() []string {
 	s := []string{
-		SiteParshardWorker, SiteParshardGenerator,
-		SiteQCacheLeader, SiteCoreMatch, SiteCoreDetect,
+		SiteParshardWorker, SiteQCacheLeader, SiteCoreMatch, SiteCoreDetect,
 		SiteEngineMaterialize, SitePlanQuery, SitePlanStream,
 		SiteServerQuery, SiteServerStream, SiteServerBatch,
 	}

@@ -204,17 +204,18 @@ func TestParsePlan(t *testing.T) {
 
 func TestParsePlanErrors(t *testing.T) {
 	for _, spec := range []string{
-		"rate=2",               // out of range
-		"seed=abc",             // not a number
-		"bogus=1",              // unknown global
-		"site:teleport",        // unknown kind
-		"site:panic:every=x",   // bad option value
-		"site:panic:bogus=1",   // unknown option
-		"site:panic:every",     // option without value
-		"kinds=panic+explode",  // unknown kind in global
-		"server.qeury:panic",   // typo'd site
-		"parshard.range:panic", // removed site
-		"nosuch.*:error",       // prefix matching no site
+		"rate=2",                   // out of range
+		"seed=abc",                 // not a number
+		"bogus=1",                  // unknown global
+		"site:teleport",            // unknown kind
+		"site:panic:every=x",       // bad option value
+		"site:panic:bogus=1",       // unknown option
+		"site:panic:every",         // option without value
+		"kinds=panic+explode",      // unknown kind in global
+		"server.qeury:panic",       // typo'd site
+		"parshard.range:panic",     // removed site
+		"parshard.generator:panic", // removed site
+		"nosuch.*:error",           // prefix matching no site
 	} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) succeeded, want error", spec)
@@ -246,8 +247,8 @@ func TestArmFromEnv(t *testing.T) {
 
 func TestSitesSortedAndComplete(t *testing.T) {
 	sites := Sites()
-	if len(sites) != 11 {
-		t.Fatalf("Sites() has %d entries, want 11: %v", len(sites), sites)
+	if len(sites) != 10 {
+		t.Fatalf("Sites() has %d entries, want 10: %v", len(sites), sites)
 	}
 	for i := 1; i < len(sites); i++ {
 		if sites[i-1] >= sites[i] {

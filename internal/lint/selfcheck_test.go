@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/types"
 	"maps"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -99,5 +100,43 @@ func TestBackgroundContextSites(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("background-context sites:\n got  %q\n want %q", got, want)
+	}
+}
+
+// TestSuppressionSites pins every //lint:ignore directive in the
+// module's non-test code outside testdata/, by file and rule, one entry
+// per directive. Like the background-context list above, it makes each
+// new suppression a reviewed edit.
+func TestSuppressionSites(t *testing.T) {
+	loader, err := moduleLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	pkgs, err := modulePkgs()
+	if err != nil {
+		t.Fatalf("load ./...: %v", err)
+	}
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for file, byLine := range collectDirectives(loader.Fset(), pkgs) {
+		rel, err := filepath.Rel(root, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range byLine {
+			got = append(got, filepath.ToSlash(rel)+" hummer/"+d.rule)
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"internal/plan/stream.go hummer/determinism",
+		"internal/plan/stream.go hummer/determinism",
+		"internal/plan/stream.go hummer/determinism",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("lint suppressions:\n got  %q\n want %q", got, want)
 	}
 }

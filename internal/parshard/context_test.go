@@ -3,93 +3,12 @@ package parshard
 import (
 	"context"
 	"errors"
-	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"hummer/internal/testutil"
 )
-
-// TestRunContextCompletesIdentical: an uncancelled RunContext must
-// fold exactly like Run at every worker count.
-func TestRunContextCompletesIdentical(t *testing.T) {
-	sum := func(workers int) (int, error) {
-		return RunContext(context.Background(), workers, 16, intStream(1000),
-			func() func(int, *int) { return func(x int, out *int) { *out += x } },
-			func(into *int, chunk int) { *into += chunk })
-	}
-	want := 1000 * 999 / 2
-	for _, w := range []int{1, 2, 3, 8} {
-		got, err := sum(w)
-		if err != nil || got != want {
-			t.Fatalf("workers=%d: got (%d, %v), want (%d, nil)", w, got, err, want)
-		}
-	}
-}
-
-// TestRunContextCancelJoinsAll: cancelling a run mid-stream — over an
-// unbounded generator that only cancellation can end — returns the
-// context error promptly, with the generator, every worker and the
-// collector joined: no goroutine outlives the call.
-func TestRunContextCancelJoinsAll(t *testing.T) {
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(10*time.Millisecond, cancel)
-	start := time.Now()
-	_, err := RunContext(ctx, 4, 8,
-		func(yield func(int) bool) {
-			for i := 0; ; i++ { // unbounded: only cancellation ends it
-				if !yield(i) {
-					return
-				}
-			}
-		},
-		func() func(int, *int) {
-			return func(x int, out *int) { time.Sleep(50 * time.Microsecond) }
-		},
-		func(into *int, chunk int) {})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancelled run took %v to return", elapsed)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > before+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not settle: %d running, started with %d", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestRunContextSequentialCancel: the single-worker path also honors
-// cancellation at chunk boundaries.
-func TestRunContextSequentialCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	_, err := RunContext(ctx, 1, 4,
-		func(yield func(int) bool) {
-			for i := 0; i < 1000; i++ {
-				if !yield(i) {
-					return
-				}
-			}
-		},
-		func() func(int, *int) {
-			return func(x int, out *int) {
-				n++
-				if n == 10 {
-					cancel()
-				}
-			}
-		},
-		func(into *int, chunk int) {})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if n >= 1000 {
-		t.Fatal("sequential run consumed the whole stream despite cancellation")
-	}
-}
 
 // TestRangesContextCancel: a cancelled context aborts before dispatch
 // and reports the error after the shards drain.
@@ -103,5 +22,31 @@ func TestRangesContextCancel(t *testing.T) {
 	}
 	if ran {
 		t.Fatal("shards ran despite a pre-cancelled context")
+	}
+}
+
+// TestRangesContextCancelMidRun: cancelling while four shards are
+// running — each polling Canceled in a loop only cancellation can end —
+// returns context.Canceled with every shard joined before the call
+// returns and no goroutine left behind.
+func TestRangesContextCancelMidRun(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started, joined atomic.Int32
+	err := RangesContext(ctx, 4, 4, func(shard, lo, hi int) {
+		defer joined.Add(1)
+		if started.Add(1) == 4 {
+			cancel() // the last shard to start cancels the run
+		}
+		for !Canceled(ctx) {
+			time.Sleep(50 * time.Microsecond)
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if n := joined.Load(); n != 4 {
+		t.Fatalf("%d of 4 shards had joined when RangesContext returned", n)
 	}
 }

@@ -10,19 +10,23 @@ import (
 	"hummer/internal/faultinject"
 )
 
-// sumRun folds 0..n-1 through RunContext at the given worker count —
-// the reference workload for fault tests.
+// sumRun folds 0..n-1 over RangesContext shards at the given worker
+// count — the reference workload for fault tests.
 func sumRun(ctx context.Context, workers, n int, proc func(item int, out *int)) (int, error) {
-	gen := func(yield func(int) bool) {
-		for i := 0; i < n; i++ {
-			if !yield(i) {
-				return
-			}
+	sums := make([]int, max(workers, 1))
+	err := RangesContext(ctx, workers, n, func(s, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			proc(i, &sums[s])
 		}
+	})
+	if err != nil {
+		return 0, err
 	}
-	return RunContext(ctx, workers, 8, gen,
-		func() func(item int, out *int) { return proc },
-		func(into *int, chunk int) { *into += chunk })
+	total := 0
+	for _, v := range sums {
+		total += v
+	}
+	return total, nil
 }
 
 func wantSum(n int) int { return n * (n - 1) / 2 }
@@ -57,44 +61,17 @@ func TestWorkerPanicContained(t *testing.T) {
 	}
 }
 
-// TestGeneratorPanicContained: a panic inside the generator stream is
-// recovered at the generator boundary; workers and collector join.
-func TestGeneratorPanicContained(t *testing.T) {
-	gen := func(yield func(int) bool) {
-		for i := 0; i < 100; i++ {
-			if i == 50 {
-				panic("generator boom")
-			}
-			if !yield(i) {
-				return
-			}
-		}
-	}
-	_, err := RunContext(context.Background(), 4, 8, gen,
-		func() func(item int, out *int) { return func(item int, out *int) { *out += item } },
-		func(into *int, chunk int) { *into += chunk })
-	var ie *fault.InternalError
-	if !errors.As(err, &ie) {
-		t.Fatalf("err = %v (%T), want *InternalError", err, err)
-	}
-	if ie.Site != faultinject.SiteParshardGenerator {
-		t.Errorf("Site = %q, want %q", ie.Site, faultinject.SiteParshardGenerator)
-	}
-}
-
 // TestNewWorkerPanicContained: worker-state construction is inside
-// the containment boundary too.
+// the containment boundary too — Run re-panics it as the contained
+// *InternalError.
 func TestNewWorkerPanicContained(t *testing.T) {
-	gen := func(yield func(int) bool) {
-		for i := 0; i < 100; i++ {
-			if !yield(i) {
-				return
-			}
-		}
-	}
-	_, err := RunContext(context.Background(), 4, 8, gen,
-		func() func(item int, out *int) { panic("newWorker boom") },
-		func(into *int, chunk int) { *into += chunk })
+	err := func() (err error) {
+		defer fault.Capture("test.outer", &err)
+		Run(4, 8, intStream(100),
+			func() func(item int, out *int) { panic("newWorker boom") },
+			func(into *int, chunk int) { *into += chunk })
+		return nil
+	}()
 	var ie *fault.InternalError
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v (%T), want *InternalError", err, err)
@@ -157,22 +134,23 @@ func TestRangesPanicContained(t *testing.T) {
 	}
 }
 
-// TestInjectedFaultsAtParshardSites: armed injection at the worker and
-// generator sites aborts runs with the injected error; disarmed reruns
-// restore the canonical result.
+// TestInjectedFaultsAtParshardSites: armed injection at the worker
+// site aborts runs with the injected error; disarmed reruns restore
+// the canonical result. Each shard is one hit, so a single-worker run
+// hits the site once.
 func TestInjectedFaultsAtParshardSites(t *testing.T) {
 	const n = 1000
 	proc := func(item int, out *int) { *out += item }
 	for _, tc := range []struct {
 		site    string
 		workers int
+		after   uint64
 	}{
-		{faultinject.SiteParshardWorker, 1},
-		{faultinject.SiteParshardWorker, 4},
-		{faultinject.SiteParshardGenerator, 4},
+		{faultinject.SiteParshardWorker, 1, 0},
+		{faultinject.SiteParshardWorker, 4, 2},
 	} {
 		faultinject.Arm(&faultinject.Plan{Rules: []faultinject.Rule{
-			{Site: tc.site, Kind: faultinject.Error, After: 2},
+			{Site: tc.site, Kind: faultinject.Error, After: tc.after},
 		}})
 		_, err := sumRun(context.Background(), tc.workers, n, proc)
 		faultinject.Disarm()
@@ -210,23 +188,12 @@ func TestInjectedPanicAtWorkerSite(t *testing.T) {
 // TestDeterminismSurvivesDelayInjection: delays reorder goroutines
 // but never results — the canonical fold is byte-identical.
 func TestDeterminismSurvivesDelayInjection(t *testing.T) {
-	gen := func(yield func(int) bool) {
-		for i := 0; i < 500; i++ {
-			if !yield(i) {
-				return
-			}
-		}
-	}
 	collect := func() []int {
-		out, err := RunContext(context.Background(), 4, 16, gen,
+		return Run(4, 16, intStream(500),
 			func() func(item int, out *[]int) {
 				return func(item int, out *[]int) { *out = append(*out, item*item) }
 			},
 			func(into *[]int, chunk []int) { *into = append(*into, chunk...) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
 	}
 	baseline := collect()
 	faultinject.Arm(&faultinject.Plan{Rules: []faultinject.Rule{

@@ -1,36 +1,29 @@
 // Package parshard provides the shared deterministic work-sharding
-// machinery behind HumMer's parallel phases (duplicate detection's
-// measure precomputation and pair scoring, DUMAS's precomputation,
-// tuple-pair scoring and per-cell field-matrix averaging).
+// machinery behind HumMer's parallel phases: duplicate detection's
+// measure precomputation and per-row pair scoring, and DUMAS's
+// precomputation, per-left-row tuple scoring and per-cell field-matrix
+// averaging.
 //
 // # The canonical-order determinism contract
 //
 // Every parallel phase in this codebase obeys one rule: parallelism is
 // a wall-clock knob, never a semantics knob. The result of a run must
-// be byte-identical at every worker count. parshard encodes the two
-// patterns that make this cheap to guarantee:
+// be byte-identical at every worker count. parshard has one primitive
+// for it: RangesContext splits a [0, n) index space into contiguous
+// shards, one per worker. Callers write only shard-local or per-index
+// state inside the callback; cross-shard reductions are returned per
+// shard and folded by the caller in shard order (or must be
+// order-insensitive, like integer counts, set unions, min/max). Every
+// candidate strategy of dupdetect and dumas is a per-row partner
+// enumeration over such row shards.
 //
-//   - RunContext consumes a generator that streams work items in a
-//     canonical order fixed by the caller (row-major pairs, sorted
-//     block keys, …). The stream is cut into fixed-size chunks; chunk
-//     boundaries and within-chunk order are functions of the canonical
-//     order alone, so after workers process chunks concurrently the
-//     chunk results can be folded back in chunk-index order, restoring
-//     exactly the sequential output — including the order of any
-//     slices the chunks append to and the floating-point accumulation
-//     order of any sums. Run is RunContext with a background context.
-//     In the product its callers are the key-based candidate
-//     strategies only: dupdetect's Window, Blocking and QGrams pair
-//     scoring and dumas's Window and QGrams tuple-pair scoring.
-//
-//   - RangesContext splits a [0, n) index space into contiguous
-//     shards, one per worker. Callers must write only shard-local or
-//     per-index state inside the callback; cross-shard reductions are
-//     returned per shard and folded by the caller in shard order (or
-//     must be order-insensitive, like integer counts, set unions,
-//     min/max). It runs every default path: dupdetect's measure
-//     precomputation and folded exhaustive pair scoring, and dumas's
-//     precomputation, posting-list tuple scoring and field matrix.
+// Run is the one other entry point: it drains a generator into
+// fixed-size chunks and runs the chunk index space through
+// RangesContext, folding chunk results in chunk order, so its result
+// depends on the chunk size alone. No product path calls it: it
+// stays, signature unchanged, because the benchmark's dispatch-cost
+// probe pins it until ROADMAP item 4b moves the benchmark off internal
+// symbols.
 //
 // Anything order-sensitive (float accumulation, slice append) must
 // happen either per item/cell or in the deterministic fold — never
@@ -38,41 +31,35 @@
 //
 // # Cancellation
 //
-// RunContext and RangesContext accept a context and check it
-// cooperatively at chunk (respectively shard) boundaries: a run either
-// completes — producing the byte-identical canonical result — or
-// aborts with the context's error and no result at all. There is no
-// partial output, so cancellation can never bend determinism. On
-// abort every worker goroutine, the generator goroutine and the
-// collector are joined before the call returns: a cancelled run leaks
-// nothing.
+// RangesContext checks its context before dispatch, and long shard
+// loops poll Canceled between rows: a run either completes —
+// producing the byte-identical canonical result — or aborts with the
+// context's error, and the caller discards whatever the shards wrote.
+// There is no partial output, so cancellation can never bend
+// determinism. Every shard goroutine is joined before the call
+// returns: a cancelled run leaks nothing.
 //
 // # Fault containment
 //
-// Every goroutine parshard starts — workers, the generator, the
-// shards of RangesContext — recovers panics at its boundary and
-// converts them into a *fault.InternalError returned from the call;
-// the run aborts exactly like a cancellation (drain, join, no partial
-// result) and the process survives. A RangesContext shard is a
-// worker: it fires and reports faultinject.SiteParshardWorker. Run,
-// which has no error return, re-panics the already-contained error so
-// the next boundary up re-recovers the same value without
-// double-counting.
+// Every shard recovers panics at its boundary and converts them into a
+// *fault.InternalError returned from the call; the run aborts exactly
+// like a cancellation (join, no partial result) and the process
+// survives. A shard is a worker: it fires and reports
+// faultinject.SiteParshardWorker. Run, which has no error return,
+// re-panics the already-contained error so the next boundary up
+// re-recovers the same value without double-counting.
 package parshard
 
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 
 	"hummer/internal/fault"
 	"hummer/internal/faultinject"
 )
 
-// DefaultChunk is the default number of items per work unit: large
-// enough to amortize channel traffic, small enough to keep all workers
-// busy on mid-sized inputs.
+// DefaultChunk is Run's default number of items per work unit.
 const DefaultChunk = 1024
 
 // Workers resolves a Parallelism configuration value: zero or negative
@@ -88,264 +75,54 @@ func Workers(parallelism int) int {
 // early when yield returns false.
 type Gen[T any] func(yield func(T) bool)
 
-// Run consumes gen with the given number of worker goroutines and
-// returns the folded result. It is RunContext with a background
-// context: it cannot be cancelled. A fault contained inside the run is
-// re-panicked (it is already a *fault.InternalError, so the next
-// recovery boundary passes it through unchanged).
+// Run drains gen on the calling goroutine into chunks of chunkSize
+// items (chunkSize <= 0 selects DefaultChunk) and processes the chunks
+// over RangesContext shards with a background context: it cannot be
+// cancelled.
+//
+// newWorker is called once per shard and returns the shard's
+// processing function, giving it a place to hold private scratch
+// state. The processing function consumes one item, accumulating into
+// its chunk's result. merge folds the chunk results in chunk order, so
+// the result is the same at every worker count. A fault contained
+// inside the run is re-panicked (it is already a *fault.InternalError,
+// so the next recovery boundary passes it through unchanged).
 func Run[T, R any](workers, chunkSize int, gen Gen[T], newWorker func() func(item T, out *R), merge func(into *R, chunk R)) R {
-	out, err := RunContext(context.Background(), workers, chunkSize, gen, newWorker, merge)
+	if chunkSize <= 0 {
+		chunkSize = DefaultChunk
+	}
+	var chunks [][]T
+	cur := make([]T, 0, chunkSize)
+	gen(func(item T) bool {
+		if len(cur) == chunkSize {
+			chunks = append(chunks, cur)
+			cur = make([]T, 0, chunkSize)
+		}
+		cur = append(cur, item)
+		return true
+	})
+	if len(cur) > 0 {
+		chunks = append(chunks, cur)
+	}
+	results := make([]R, len(chunks))
+	err := RangesContext(context.Background(), workers, len(chunks), func(_, lo, hi int) {
+		proc := newWorker()
+		for c := lo; c < hi; c++ {
+			for _, item := range chunks[c] {
+				proc(item, &results[c])
+			}
+		}
+	})
 	if err != nil {
 		// The background context never cancels, so any error here is a
 		// contained fault; rethrow it across this error-less API.
 		panic(fault.NewInternal(faultinject.SiteParshardWorker, err))
 	}
+	var out R
+	for _, r := range results {
+		merge(&out, r)
+	}
 	return out
-}
-
-// RunContext consumes gen with the given number of worker goroutines
-// and returns the folded result.
-//
-// newWorker is called once per worker and returns the worker's
-// processing function, giving each worker a place to hold private
-// scratch state (reusable buffers, similarity scratch, …). The
-// processing function consumes one item, accumulating into the current
-// chunk's result.
-//
-// merge folds one chunk result into the running total; it is called in
-// chunk-index order, i.e. in the canonical stream order. A
-// single-worker run may skip merge entirely and return the lone
-// accumulated result directly, so merge must be a pure fold with no
-// side effects beyond *into.
-//
-// ctx is checked at chunk boundaries. When it is cancelled the run
-// stops streaming, drains and joins every goroutine it started, and
-// returns the zero R with ctx's error; the caller must discard any
-// state the generator or workers touched. A nil error means the run
-// completed and the result is the canonical (sequential-identical)
-// fold.
-//
-// chunkSize <= 0 selects DefaultChunk.
-func RunContext[T, R any](ctx context.Context, workers, chunkSize int, gen Gen[T], newWorker func() func(item T, out *R), merge func(into *R, chunk R)) (R, error) {
-	var zero R
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunk
-	}
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
-	if workers <= 1 {
-		var out R
-		var ctxErr, injErr error
-		err := func() (err error) {
-			defer fault.Capture(faultinject.SiteParshardWorker, &err)
-			proc := newWorker()
-			n := 0
-			gen(func(item T) bool {
-				// Cooperative check once per chunk-sized run of items,
-				// mirroring the parallel path's abort granularity.
-				if n%chunkSize == 0 {
-					if ctxErr = ctx.Err(); ctxErr != nil {
-						return false
-					}
-					if injErr = faultinject.Hit(faultinject.SiteParshardWorker); injErr != nil {
-						return false
-					}
-				}
-				n++
-				proc(item, &out)
-				return true
-			})
-			return nil
-		}()
-		switch {
-		case err != nil:
-			return zero, err
-		case injErr != nil:
-			return zero, injErr
-		case ctxErr != nil:
-			return zero, ctxErr
-		}
-		return out, nil
-	}
-
-	type chunk struct {
-		idx   int
-		items []T
-	}
-	type indexed struct {
-		idx int
-		res R
-	}
-	jobs := make(chan chunk, workers)
-	results := make(chan indexed, workers)
-	bufPool := sync.Pool{New: func() any {
-		buf := make([]T, 0, chunkSize)
-		return &buf
-	}}
-
-	// failErr records the first contained fault (a recovered panic or
-	// an injected error) from any goroutine of the run. Once set, the
-	// run aborts like a cancellation: the generator stops streaming and
-	// the workers stop scoring but keep draining, so every send
-	// completes and every goroutine joins.
-	var failMu sync.Mutex
-	var failErr error
-	setFail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-		}
-		failMu.Unlock()
-	}
-	getFail := func() error {
-		failMu.Lock()
-		defer failMu.Unlock()
-		return failErr
-	}
-
-	// Generator: stream the canonical order into chunks. The send
-	// selects on ctx so a cancelled run never wedges the generator;
-	// genDone lets the caller join it before returning (the generator
-	// may still be inside gen — sorting, building block maps — when the
-	// workers have already drained everything). Deferred LIFO: a panic
-	// inside gen is recovered first, then jobs closes (releasing the
-	// workers), then genDone.
-	genDone := make(chan struct{})
-	go func() {
-		defer close(genDone)
-		defer close(jobs)
-		defer func() {
-			if r := recover(); r != nil {
-				setFail(fault.NewInternal(faultinject.SiteParshardGenerator, r))
-			}
-		}()
-		idx := 0
-		buf := bufPool.Get().(*[]T)
-		aborted := false
-		gen(func(item T) bool {
-			*buf = append(*buf, item)
-			if len(*buf) == chunkSize {
-				if getFail() != nil {
-					aborted = true
-					return false
-				}
-				if err := faultinject.Hit(faultinject.SiteParshardGenerator); err != nil {
-					setFail(err)
-					aborted = true
-					return false
-				}
-				select {
-				case jobs <- chunk{idx: idx, items: *buf}:
-				case <-ctx.Done():
-					aborted = true
-					return false
-				}
-				idx++
-				buf = bufPool.Get().(*[]T)
-				*buf = (*buf)[:0]
-			}
-			return true
-		})
-		if len(*buf) > 0 && !aborted && ctx.Err() == nil && getFail() == nil {
-			select {
-			case jobs <- chunk{idx: idx, items: *buf}:
-			case <-ctx.Done():
-			}
-		}
-	}()
-
-	// runChunk scores one chunk behind a recovery boundary, so a panic
-	// in the caller's processing function fails the run instead of the
-	// process.
-	runChunk := func(proc func(item T, out *R), items []T) (out R, err error) {
-		defer fault.Capture(faultinject.SiteParshardWorker, &err)
-		if err := faultinject.Hit(faultinject.SiteParshardWorker); err != nil {
-			return out, err
-		}
-		for _, item := range items {
-			proc(item, &out)
-		}
-		return out, nil
-	}
-	// makeWorker guards newWorker (caller code) the same way.
-	makeWorker := func() (proc func(item T, out *R), err error) {
-		defer fault.Capture(faultinject.SiteParshardWorker, &err)
-		return newWorker(), nil
-	}
-
-	// Workers: process chunks with per-worker state; once the context
-	// is cancelled or a fault is recorded they stop scoring but keep
-	// draining jobs so the generator's sends always complete.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Containment backstop for the drain loop itself: scoring
-			// panics are already captured per-chunk in runChunk, but a
-			// panic in the surrounding channel/pool plumbing must also
-			// become a fault — and this worker must keep draining jobs
-			// afterwards, or the generator's sends could block forever.
-			defer func() {
-				if r := recover(); r != nil {
-					setFail(fault.NewInternal(faultinject.SiteParshardWorker, r))
-					for ch := range jobs {
-						buf := ch.items[:0]
-						bufPool.Put(&buf)
-					}
-				}
-			}()
-			proc, perr := makeWorker()
-			if perr != nil {
-				setFail(perr)
-			}
-			for ch := range jobs {
-				if perr != nil || ctx.Err() != nil || getFail() != nil {
-					buf := ch.items[:0]
-					bufPool.Put(&buf)
-					continue
-				}
-				out, err := runChunk(proc, ch.items)
-				buf := ch.items[:0]
-				bufPool.Put(&buf)
-				if err != nil {
-					setFail(err)
-					continue
-				}
-				results <- indexed{idx: ch.idx, res: out}
-			}
-		}()
-	}
-	// Join-only goroutine: wg.Wait and close cannot panic, and a
-	// containment defer here would convert any latent bug into a
-	// silent collector hang instead of a loud crash.
-	//lint:ignore hummer/containment join-only body (wg.Wait + close); capturing would trade a loud panic for a wedged collector
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Fold deterministically: chunk order restores the canonical
-	// stream order. The collector always drains to close so the worker
-	// sends (buffered at cap workers) can never block forever.
-	var chunks []indexed
-	for r := range results {
-		chunks = append(chunks, r)
-	}
-	<-genDone
-	if err := getFail(); err != nil {
-		return zero, err
-	}
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i].idx < chunks[j].idx })
-	var merged R
-	for _, c := range chunks {
-		merge(&merged, c.res)
-	}
-	return merged, nil
 }
 
 // RangesContext splits [0, n) into at most `workers` contiguous,

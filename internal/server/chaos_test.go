@@ -185,12 +185,7 @@ sampling:
 	// every layer's fault points hit, and injections fired.
 	hits, fired := faultinject.Hits(), faultinject.Fired()
 	faultinject.Disarm()
-	for _, site := range []string{
-		faultinject.SiteServerQuery, faultinject.SiteServerStream, faultinject.SiteServerBatch,
-		faultinject.SitePlanQuery, faultinject.SitePlanStream,
-		faultinject.SiteQCacheLeader, faultinject.SiteCoreMatch, faultinject.SiteCoreDetect,
-		faultinject.SiteEngineMaterialize, faultinject.SiteParshardWorker,
-	} {
+	for _, site := range faultinject.Sites() {
 		if hits[site] == 0 {
 			t.Errorf("site %s was never hit during the storm", site)
 		}
