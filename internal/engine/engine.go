@@ -12,6 +12,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hummer/internal/expr"
 	"hummer/internal/faultinject"
@@ -627,7 +628,7 @@ func (s *Sort) Open() error {
 		}
 		s.rows = append(s.rows, row)
 	}
-	stableSort(s.rows, func(a, b relation.Row) int {
+	slices.SortStableFunc(s.rows, func(a, b relation.Row) int {
 		for i, j := range idx {
 			c := a[j].Compare(b[j])
 			if s.keys[i].Desc {
@@ -650,47 +651,6 @@ func (s *Sort) Next() (relation.Row, bool) {
 	row := s.rows[s.pos]
 	s.pos++
 	return row, true
-}
-
-// stableSort is an insertion-free merge sort keeping equal rows in
-// input order.
-func stableSort(rows []relation.Row, cmp func(a, b relation.Row) int) {
-	if len(rows) < 2 {
-		return
-	}
-	buf := make([]relation.Row, len(rows))
-	var ms func(lo, hi int)
-	ms = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		ms(lo, mid)
-		ms(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if cmp(rows[i], rows[j]) <= 0 {
-				buf[k] = rows[i]
-				i++
-			} else {
-				buf[k] = rows[j]
-				j++
-			}
-			k++
-		}
-		for i < mid {
-			buf[k] = rows[i]
-			i++
-			k++
-		}
-		for j < hi {
-			buf[k] = rows[j]
-			j++
-			k++
-		}
-		copy(rows[lo:hi], buf[lo:hi])
-	}
-	ms(0, len(rows))
 }
 
 // --- Limit ---------------------------------------------------------------------------

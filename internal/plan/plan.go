@@ -1,16 +1,20 @@
 // Package plan turns parsed statements into executions. Fuse By
 // statements run through the core pipeline (schema matching →
 // duplicate detection → conflict resolution); plain SELECT statements
-// run directly on the relational engine.
+// run directly on the relational engine. Both then share one
+// relational tail: HAVING, ORDER BY and LIMIT run on the engine's
+// Filter / Sort / Limit operators (buildTail), with a fused result's
+// lineage carried through them, and both stream through one producer
+// loop.
 //
 // With a Cache installed the executor maintains two tiers: parsed
 // plans keyed by statement text, and — the warmest tier — complete
-// fused query results keyed by (plan fingerprint, source fingerprints,
+// fused query results keyed by (statement text, source fingerprints,
 // configuration fingerprint). A fused-tier hit skips schema matching,
 // duplicate detection, merging and fusion entirely; only the parse
-// (itself cached) runs. QueryContext/ExecuteContext propagate a
-// context through every phase so a hung client or an elapsed timeout
-// cancels the pipeline mid-flight.
+// (itself cached) runs. QueryContext propagates a context through
+// every phase so a hung client or an elapsed timeout cancels the
+// pipeline mid-flight.
 package plan
 
 import (
@@ -32,17 +36,18 @@ import (
 	"hummer/internal/obs"
 	"hummer/internal/qcache"
 	"hummer/internal/relation"
+	"hummer/internal/schema"
 	"hummer/internal/sql"
+	"hummer/internal/value"
 )
 
 // QueryResult is the outcome of executing one statement.
 type QueryResult struct {
 	// Rel is the result table.
 	Rel *relation.Relation
-	// Lineage carries per-cell provenance for fusion queries (aligned
-	// with Rel before post-processing may reorder rows); nil for
-	// plain SQL. Lineage follows Rel's row order. Omitted when the
-	// query opted out (ExecOptions.NoLineage).
+	// Lineage carries per-cell provenance for fusion queries, one
+	// entry per Rel row in Rel's order; nil for plain SQL. Omitted
+	// when the query opted out (ExecOptions.NoLineage).
 	Lineage [][]lineage.Set
 	// Pipeline exposes the intermediate phases for fusion queries.
 	// Guaranteed non-nil (for fusion statements) only when the query
@@ -172,19 +177,8 @@ func (e *Executor) parse(ctx context.Context, q string) (*sql.Stmt, error) {
 	return sql.Parse(q)
 }
 
-// ExecuteContext runs a parsed statement, honoring ctx: fusion
-// statements propagate it through matching, detection and the cache
-// singleflight; plain statements check it before the (fast,
-// in-memory) engine run. Statements executed directly (without their
-// source text) bypass the fused-result cache tier, whose keys are
-// raw statement text.
-func (e *Executor) ExecuteContext(ctx context.Context, stmt *sql.Stmt) (*QueryResult, error) {
-	return e.executeStmt(ctx, stmt, "", ExecOptions{})
-}
-
 // executeStmt dispatches a parsed statement; raw is the statement's
-// source text when known ("" otherwise), the fused tier's key
-// component.
+// source text, the fused tier's key component.
 func (e *Executor) executeStmt(ctx context.Context, stmt *sql.Stmt, raw string, opt ExecOptions) (*QueryResult, error) {
 	if e.Repo == nil {
 		return nil, fmt.Errorf("plan: executor has no repository")
@@ -206,6 +200,11 @@ func (e *Executor) executeStmt(ctx context.Context, stmt *sql.Stmt, raw string, 
 func (e *Executor) executeFusion(ctx context.Context, stmt *sql.Stmt, raw string, opt ExecOptions) (*QueryResult, error) {
 	if len(stmt.Joins) > 0 {
 		return nil, fmt.Errorf("plan: JOIN is not supported in FUSE statements; use FUSE FROM")
+	}
+	if stmt.Distinct {
+		// The tail's lineage ordinal (postProcess) makes every row
+		// distinct, so DISTINCT would be silently ignored.
+		return nil, fmt.Errorf("plan: DISTINCT is not supported in FUSE statements")
 	}
 	p := e.Pipeline
 	if p == nil {
@@ -262,13 +261,12 @@ func (e *Executor) executeFusion(ctx context.Context, stmt *sql.Stmt, raw string
 	// are SLIM: final table, lineage and the precomputed summary, no
 	// pipeline intermediates — trace is opt-in per query, and a
 	// tracing query (ExecOptions.Trace) bypasses the tier entirely so
-	// a slim entry is never asked to satisfy it. Statements without
-	// source text (direct ExecuteContext) and oversized texts also bypass the
-	// tier, as do wizard hooks, which can rewrite any intermediate
-	// non-deterministically (the per-artifact tiers below still
-	// apply). Fingerprinting can fail on an unknown alias — fall
+	// a slim entry is never asked to satisfy it. Oversized texts also
+	// bypass the tier, as do wizard hooks, which can rewrite any
+	// intermediate non-deterministically (the per-artifact tiers below
+	// still apply). Fingerprinting can fail on an unknown alias — fall
 	// through then, so the pipeline reports the real error.
-	if e.Cache != nil && raw != "" && len(raw) <= maxCachedPlanBytes && !opt.Trace && !pipelineHooked(p) {
+	if e.Cache != nil && len(raw) <= maxCachedPlanBytes && !opt.Trace && !pipelineHooked(p) {
 		if key, gens, err := e.fusedKey(raw, aliases, p); err == nil {
 			// full is set only when this caller led the computation: the
 			// compute closure runs in the leader's own goroutine, so the
@@ -392,11 +390,8 @@ func (e *Executor) runFusion(ctx context.Context, p *core.Pipeline, stmt *sql.St
 	if err != nil {
 		return nil, err
 	}
-	out := res.Fused.Rel
-	lin := res.Fused.Lineage
-
-	_, psp := obs.StartSpan(ctx, "post")
-	out, lin, err = postProcess(out, lin, stmt)
+	pctx, psp := obs.StartSpan(ctx, "post")
+	out, lin, err := postProcess(pctx, res.Fused.Rel, res.Fused.Lineage, stmt)
 	psp.End()
 	if err != nil {
 		return nil, err
@@ -432,78 +427,44 @@ func pipelineHooked(p *core.Pipeline) bool {
 	return p.OnCorrespondences != nil || p.OnAttributes != nil || p.OnDuplicates != nil
 }
 
-// postProcess applies HAVING, ORDER BY and LIMIT to a fused result,
-// keeping the lineage aligned with the surviving rows.
-func postProcess(rel *relation.Relation, lin [][]lineage.Set, stmt *sql.Stmt) (*relation.Relation, [][]lineage.Set, error) {
-	type taggedRow struct {
-		row relation.Row
-		lin []lineage.Set
+// ordinalColumn tags each fused row with its position while the tail
+// runs. No SQL identifier can name it, so HAVING and ORDER BY never
+// see it.
+const ordinalColumn = "\x00ordinal"
+
+// postProcess applies HAVING, ORDER BY and LIMIT to a fused result
+// through the operator chain plain SQL uses (buildTail). Lineage rides
+// along as a trailing ordinal column: each surviving row maps back to
+// its fused row and that row's lineage, so the output holds the fused
+// row objects themselves, without the tag.
+func postProcess(ctx context.Context, rel *relation.Relation, lin [][]lineage.Set, stmt *sql.Stmt) (*relation.Relation, [][]lineage.Set, error) {
+	sch, err := rel.Schema().Append(schema.Column{Name: ordinalColumn, Type: value.KindInt})
+	if err != nil {
+		return nil, nil, err
 	}
-	rows := make([]taggedRow, rel.Len())
-	for i := 0; i < rel.Len(); i++ {
-		rows[i] = taggedRow{row: rel.Row(i)}
-		if lin != nil {
-			rows[i].lin = lin[i]
-		}
+	k := rel.Schema().Len()
+	tagged := relation.New(rel.Name(), sch)
+	cells := make([]value.Value, rel.Len()*(k+1))
+	for i, row := range rel.Rows() {
+		t := cells[i*(k+1) : (i+1)*(k+1) : (i+1)*(k+1)]
+		copy(t, row)
+		t[k] = value.NewInt(int64(i))
+		tagged.MustAppend(t)
 	}
-	if stmt.Having != nil {
-		if err := stmt.Having.Bind(rel.Schema()); err != nil {
-			return nil, nil, fmt.Errorf("plan: HAVING: %w", err)
-		}
-		var kept []taggedRow
-		for _, tr := range rows {
-			if expr.Truthy(stmt.Having.Eval(tr.row)) {
-				kept = append(kept, tr)
-			}
-		}
-		rows = kept
-	}
-	if len(stmt.OrderBy) > 0 {
-		idx := make([]int, len(stmt.OrderBy))
-		for i, k := range stmt.OrderBy {
-			j, ok := rel.Schema().Lookup(k.Col)
-			if !ok {
-				return nil, nil, fmt.Errorf("plan: ORDER BY: no column %q", k.Col)
-			}
-			idx[i] = j
-		}
-		stableSortTagged(rows, func(a, b taggedRow) int {
-			for i, j := range idx {
-				c := a.row[j].Compare(b.row[j])
-				if stmt.OrderBy[i].Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c
-				}
-			}
-			return 0
-		})
-	}
-	if stmt.Limit >= 0 && len(rows) > stmt.Limit {
-		rows = rows[:stmt.Limit]
+	kept, err := engine.MaterializeContext(ctx, rel.Name(), buildTail(engine.NewScan(tagged), stmt))
+	if err != nil {
+		return nil, nil, err
 	}
 	out := relation.New(rel.Name(), rel.Schema())
 	var outLin [][]lineage.Set
-	for _, tr := range rows {
-		if err := out.Append(tr.row); err != nil {
-			return nil, nil, err
-		}
+	for _, t := range kept.Rows() {
+		i := int(t[k].Int())
+		out.MustAppend(rel.Row(i))
 		if lin != nil {
-			outLin = append(outLin, tr.lin)
+			outLin = append(outLin, lin[i])
 		}
 	}
 	return out, outLin, nil
-}
-
-func stableSortTagged[T any](rows []T, cmp func(a, b T) int) {
-	// Insertion sort: result sets after fusion are small, and
-	// stability matters for deterministic output.
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && cmp(rows[j-1], rows[j]) > 0; j-- {
-			rows[j-1], rows[j] = rows[j], rows[j-1]
-		}
-	}
 }
 
 // --- Plain SQL ---------------------------------------------------------------
@@ -542,21 +503,20 @@ func (e *Executor) buildPlain(ctx context.Context, stmt *sql.Stmt, share bool) (
 			hasAgg = true
 		}
 	}
-	switch {
-	case hasAgg || len(stmt.GroupBy) > 0:
-		var err error
+	if hasAgg || len(stmt.GroupBy) > 0 {
 		op, err = buildGroup(op, stmt)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		var err error
+	} else {
 		op, err = buildProject(op, stmt)
-		if err != nil {
-			return nil, err
-		}
 	}
+	if err != nil {
+		return nil, err
+	}
+	return buildTail(op, stmt), nil
+}
 
+// buildTail stacks a statement's HAVING, DISTINCT, ORDER BY and LIMIT
+// over op — the one relational tail of plain and fused results.
+func buildTail(op engine.Operator, stmt *sql.Stmt) engine.Operator {
 	if stmt.Having != nil {
 		op = engine.NewFilter(op, stmt.Having)
 	}
@@ -573,7 +533,7 @@ func (e *Executor) buildPlain(ctx context.Context, stmt *sql.Stmt, share bool) (
 	if stmt.Limit >= 0 {
 		op = engine.NewLimit(op, stmt.Limit)
 	}
-	return op, nil
+	return op
 }
 
 func buildProject(op engine.Operator, stmt *sql.Stmt) (engine.Operator, error) {

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,6 +128,41 @@ func TestFuseHavingOrderLimit(t *testing.T) {
 	}
 }
 
+// TestFuseTailKeepsLineage: HAVING, ORDER BY and LIMIT drop and
+// reorder fused rows; each surviving row keeps the lineage its fused
+// row had before the tail ran.
+func TestFuseTailKeepsLineage(t *testing.T) {
+	e := testExecutor(t)
+	res, err := e.QueryWith(t.Context(), `
+		SELECT Name, RESOLVE(Age, max), City
+		FUSE FROM EE_Student, CS_Students
+		FUSE BY (Name)
+		HAVING Age > 20
+		ORDER BY Age DESC, Name
+		LIMIT 2`, ExecOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rel.Len() != 2 || len(res.Lineage) != 2 {
+		t.Fatalf("rows = %d, lineage rows = %d, want 2/2", res.Rel.Len(), len(res.Lineage))
+	}
+	fused := res.Pipeline.Fused
+	moved := false
+	for i, row := range res.Rel.Rows() {
+		j := slices.IndexFunc(fused.Rel.Rows(), row.Equal)
+		if j < 0 {
+			t.Fatalf("row %d %v is not a fused row", i, row)
+		}
+		moved = moved || j != i
+		if !reflect.DeepEqual(res.Lineage[i], fused.Lineage[j]) {
+			t.Errorf("row %d (%v): lineage %v, want fused row %d's %v", i, row, res.Lineage[i], j, fused.Lineage[j])
+		}
+	}
+	if !moved {
+		t.Error("the tail kept every row in place; the check proves nothing")
+	}
+}
+
 func TestFuseAliasRenamesOutput(t *testing.T) {
 	e := testExecutor(t)
 	res, err := e.QueryContext(t.Context(), `SELECT Name AS Student, RESOLVE(Age, max) AS MaxAge
@@ -246,6 +283,7 @@ func TestErrorCases(t *testing.T) {
 		"order by unknown col":     "SELECT Name FUSE FROM EE_Student FUSE BY (Name) ORDER BY ghost",
 		"unknown fuse by col":      "SELECT Name FUSE FROM EE_Student FUSE BY (ghost)",
 		"having on unknown column": "SELECT Name FUSE FROM EE_Student FUSE BY (Name) HAVING ghost > 1",
+		"distinct in fuse":         "SELECT DISTINCT City FUSE FROM EE_Student, CS_Students FUSE BY (Name)",
 	}
 	for label, q := range cases {
 		if _, err := e.QueryContext(t.Context(), q); err == nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hummer/internal/core"
+	"hummer/internal/engine"
 	"hummer/internal/fault"
 	"hummer/internal/faultinject"
 	"hummer/internal/lineage"
@@ -180,49 +181,29 @@ func (r *Rows) run(ctx context.Context, e *Executor, stmt *sql.Stmt, q string, o
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	// Fused results stream from their finished table (fusion groups
+	// globally, so no row exists before the pipeline ends); plain SELECT
+	// streams from its operator tree. lin, aligned with the fused rows,
+	// travels with each chunk; executeFusion already projected the
+	// options, so under NoLineage it is nil (trimResult).
+	var op engine.Operator
+	var lin [][]lineage.Set
 	if stmt.IsFusion() {
 		res, err := e.executeFusion(ctx, stmt, q, opt)
 		if err != nil {
 			return err
 		}
 		r.prodSummary = res.Summary
-		if !r.send(ctx, streamEvent{schema: res.Rel.Schema()}) {
-			return ctx.Err()
+		op, lin = engine.NewScan(res.Rel), res.Lineage
+	} else {
+		// share=false: the streaming path trades subtree sharing for
+		// genuine row-at-a-time streaming — materializing a CSE
+		// intermediate here would move time-to-first-row back to
+		// time-to-last-row.
+		var err error
+		if op, err = e.buildPlain(ctx, stmt, false); err != nil {
+			return err
 		}
-		// executeFusion already projected the options: under NoLineage
-		// this is nil (trimResult).
-		lin := res.Lineage
-		for i := 0; i < res.Rel.Len(); i += streamChunkRows {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			end := i + streamChunkRows
-			if end > res.Rel.Len() {
-				end = res.Rel.Len()
-			}
-			ev := streamEvent{rows: res.Rel.Rows()[i:end]}
-			if lin != nil {
-				ev.lins = lin[i:end]
-			}
-			if !r.send(ctx, ev) {
-				return ctx.Err()
-			}
-			// Chunk-boundary fault point: lets the harness fail a stream
-			// mid-flight, after rows have already reached the consumer.
-			if err := faultinject.Hit(faultinject.SitePlanStream); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// share=false: the streaming path trades subtree sharing for
-	// genuine row-at-a-time streaming — materializing a CSE
-	// intermediate here would move time-to-first-row back to
-	// time-to-last-row.
-	op, err := e.buildPlain(ctx, stmt, false)
-	if err != nil {
-		return err
 	}
 	if err := op.Open(); err != nil {
 		return err
@@ -231,7 +212,7 @@ func (r *Rows) run(ctx context.Context, e *Executor, stmt *sql.Stmt, q string, o
 		return ctx.Err()
 	}
 	chunk := make([]relation.Row, 0, streamChunkRows)
-	for {
+	for n := 0; ; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -240,10 +221,17 @@ func (r *Rows) run(ctx context.Context, e *Executor, stmt *sql.Stmt, q string, o
 			chunk = append(chunk, row)
 		}
 		if (!ok && len(chunk) > 0) || len(chunk) == streamChunkRows {
-			if !r.send(ctx, streamEvent{rows: chunk}) {
+			ev := streamEvent{rows: chunk}
+			if lin != nil {
+				ev.lins = lin[n : n+len(chunk)]
+			}
+			if !r.send(ctx, ev) {
 				return ctx.Err()
 			}
+			n += len(chunk)
 			chunk = make([]relation.Row, 0, streamChunkRows)
+			// Chunk-boundary fault point: lets the harness fail a stream
+			// mid-flight, after rows have already reached the consumer.
 			if err := faultinject.Hit(faultinject.SitePlanStream); err != nil {
 				return err
 			}

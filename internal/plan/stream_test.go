@@ -3,11 +3,14 @@ package plan
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"hummer/internal/core"
+	"hummer/internal/datagen"
+	"hummer/internal/metadata"
 	"hummer/internal/qcache"
 	"hummer/internal/relation"
 	"hummer/internal/testutil"
@@ -107,6 +110,54 @@ func TestStreamLineage(t *testing.T) {
 		if rows.RowLineage() != nil {
 			t.Fatal("NoLineage stream still carries lineage")
 		}
+	}
+}
+
+// TestFusionStreamCrossesChunks: a fused result several chunks long
+// streams, at every position, the row and lineage of the materialized
+// query, so each chunk's lineage slice follows the row offset.
+func TestFusionStreamCrossesChunks(t *testing.T) {
+	repo := metadata.NewRepository()
+	ents := datagen.Persons.Generate(7, 200)
+	for i, alias := range []string{"p1", "p2"} {
+		obs := datagen.ObserveShuffled(datagen.Persons, ents, datagen.SourceSpec{
+			Alias: alias, Coverage: 0.8, TypoRate: 0.1, Seed: int64(i + 1)})
+		if err := repo.RegisterRelation(alias, obs.Rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := &Executor{Repo: repo}
+	q := `SELECT Name, RESOLVE(Age, max), City FUSE FROM p1, p2 FUSE BY (Name) ORDER BY Name`
+	want, err := e.QueryContext(t.Context(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Rel.Len() <= 2*streamChunkRows || len(want.Lineage) != want.Rel.Len() {
+		t.Fatalf("fused rows = %d, lineage rows = %d; want > %d each",
+			want.Rel.Len(), len(want.Lineage), 2*streamChunkRows)
+	}
+	rows, err := e.StreamContext(t.Context(), q, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	i := 0
+	for ; rows.Next(); i++ {
+		if i >= want.Rel.Len() {
+			t.Fatalf("stream yields more than %d rows", want.Rel.Len())
+		}
+		if !rows.Row().Equal(want.Rel.Row(i)) {
+			t.Fatalf("row %d: stream %v, query %v", i, rows.Row(), want.Rel.Row(i))
+		}
+		if !reflect.DeepEqual(rows.RowLineage(), want.Lineage[i]) {
+			t.Fatalf("row %d: stream lineage %v, query %v", i, rows.RowLineage(), want.Lineage[i])
+		}
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if i != want.Rel.Len() {
+		t.Errorf("stream rows = %d, query rows = %d", i, want.Rel.Len())
 	}
 }
 

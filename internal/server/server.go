@@ -1229,6 +1229,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			item := &resp.Results[i]
 			item.Seconds = br.Elapsed.Seconds()
 			if br.Err != nil {
+				s.queryErrors.Add(1)
 				s.batchErrors.Add(1)
 				item.Error = br.Err.Error()
 				continue

@@ -286,6 +286,22 @@ func TestBatchExecutesStatementsIndependently(t *testing.T) {
 	if st.BatchRequests != 1 || st.BatchStatements != 3 || st.BatchStatementErrors != 1 {
 		t.Errorf("batch stats = %+v", st)
 	}
+
+	// Each statement counts as a query, and the failed one as a query
+	// error too, exactly like a failed /v1/query.
+	status, metrics := doJSON(t, ts, http.MethodGet, "/metrics", nil)
+	if status != http.StatusOK {
+		t.Fatalf("metrics: %d", status)
+	}
+	for _, want := range []string{
+		"\nhummer_queries_total 3\n",
+		"\nhummer_query_errors_total 1\n",
+		"\nhummer_batch_statement_errors_total 1\n",
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
+	}
 }
 
 // TestBatchPerStatementDeadline: the request's timeout_ms bounds each
