@@ -40,16 +40,16 @@ GO ?= go
 # ctx-threaded pipeline (cancellation joins worker goroutines, the
 # fused-result tier shares results across queries), so ctx-misuse
 # regressions surface here; obs holds the lock-free histograms that
-# hummerd and the stream producers both observe into while /metrics
-# scrapes them.
+# hummerd's concurrent handlers observe into while /metrics scrapes
+# them.
 RACE_PKGS = . ./internal/parshard ./internal/dupdetect ./internal/dumas \
 	./internal/qcache ./internal/server ./internal/plan ./internal/core \
 	./internal/obs
 
 # Packages held to the coverage floor (matching + detection core, the
-# planner and the relational engine).
+# planner, the relational engine, the HTTP server and its metrics).
 COVER_PKGS = ./internal/dumas ./internal/dupdetect ./internal/assign ./internal/strsim \
-	./internal/plan ./internal/engine
+	./internal/plan ./internal/engine ./internal/server ./internal/obs
 COVER_FLOOR = 70
 
 .PHONY: check fmtcheck fmt vet lint build test race chaos cover bench bench-check bench-agree serve loadtest profile profile-cold

@@ -468,13 +468,15 @@ func (db *DB) QueryContext(ctx context.Context, sql string, opts ...QueryOption)
 	return res, nil
 }
 
-// QueryRows parses and executes a statement like QueryContext but
-// returns a streaming cursor instead of a materialized Result: plain
+// QueryRows parses a statement like QueryContext but returns a
+// streaming cursor instead of a materialized Result. It returns before
+// executing: the statement runs on the goroutine that first calls
+// Rows.Columns, Schema or Next, and each Next pulls one row. Plain
 // SELECTs stream rows out of the scan as it advances (cancelling ctx
-// stops it mid-scan), fusion statements stream the fused table in
-// chunks once the pipeline has run — warm queries straight from the
-// slim fused-cache entry. Draining the cursor yields exactly the rows
-// of the equivalent QueryContext call, in the same order.
+// stops it mid-scan); fusion statements stream the fused table once
+// the pipeline has run — warm queries straight from the slim
+// fused-cache entry. Draining the cursor yields exactly the rows of
+// the equivalent QueryContext call, in the same order.
 //
 // The caller must Close the cursor (Rows.All does so automatically).
 // Parse errors return synchronously; execution errors surface through
@@ -483,8 +485,8 @@ func (db *DB) QueryRows(ctx context.Context, sql string, opts ...QueryOption) (*
 	cfg := resolveOptions(opts)
 	db.queries.Add(1)
 	exec := cfg.exec()
-	// A stream's outcome is only known when its producer finishes, so
-	// the fusion/error counters hook the finish callback: Stats stays
+	// A stream's outcome is only known when it ends, so the
+	// fusion/error counters hook the finish callback: Stats stays
 	// honest whether a statement was materialized or streamed. A
 	// deliberate early Close reports a nil error (not a failure).
 	exec.OnFinish = func(summary *core.Summary, err error) {

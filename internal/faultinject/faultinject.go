@@ -75,7 +75,9 @@ const (
 	SiteEngineMaterialize = "engine.materialize"
 	// SitePlanQuery fires at the top of every statement execution.
 	SitePlanQuery = "plan.query"
-	// SitePlanStream fires in the streaming-Rows producer goroutine.
+	// SitePlanStream fires when a streaming Rows starts executing and
+	// then once per 64 rows it delivers (and after a final partial
+	// run), on the consumer's goroutine.
 	SitePlanStream = "plan.stream.produce"
 	// SiteServerQuery, SiteServerStream and SiteServerBatch fire inside
 	// the corresponding HTTP handlers, after admission.

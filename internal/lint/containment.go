@@ -28,8 +28,7 @@ import (
 // a window where a panic escapes.
 //
 // `go name(...)` with a callee defined in the same package is checked
-// against the callee's body (the plan stream producer launches this
-// way). A callee that cannot be resolved — a function value, a
+// against the callee's body. A callee that cannot be resolved — a function value, a
 // cross-package call — is reported: the analyzer cannot prove the
 // contract, so the goroutine must either wrap the call in a contained
 // literal or carry a reasoned suppression.

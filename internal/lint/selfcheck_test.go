@@ -131,12 +131,7 @@ func TestSuppressionSites(t *testing.T) {
 		}
 	}
 	slices.Sort(got)
-	want := []string{
-		"internal/plan/stream.go hummer/determinism",
-		"internal/plan/stream.go hummer/determinism",
-		"internal/plan/stream.go hummer/determinism",
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("lint suppressions:\n got  %q\n want %q", got, want)
+	if len(got) != 0 {
+		t.Errorf("lint suppressions: got %q, want none", got)
 	}
 }

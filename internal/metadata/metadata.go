@@ -181,9 +181,14 @@ func (r *Repository) Get(alias string) (*relation.Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("metadata: loading %q: %w", alias, err)
 	}
-	rel.SetName(src.Alias())
 
 	r.mu.Lock()
+	// A relation source hands every Load the same relation, so
+	// concurrent first Gets share it: rename under the lock, and only
+	// when the name differs, so no write races a reader.
+	if rel.Name() != src.Alias() {
+		rel.SetName(src.Alias())
+	}
 	// Install only if the alias was not replaced or invalidated while
 	// we loaded: a concurrent Replace bumped the generation, and
 	// caching our now-stale rows under the new generation would serve

@@ -5,14 +5,6 @@ import (
 	"time"
 )
 
-// StallBounds are the bucket upper bounds (seconds) for the
-// consumer-stall histogram: stream producers block from sub-ms (a
-// momentarily busy consumer) to tens of seconds (a stalled client
-// about to hit the write deadline).
-var StallBounds = []float64{
-	0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30,
-}
-
 // DurationHist is a fixed-bucket, lock-free duration histogram in
 // Prometheus le-convention: bucket i counts observations ≤ bounds[i],
 // with one extra +Inf bucket. Observe is safe from any goroutine.

@@ -21,9 +21,9 @@
 //
 // # Concurrency
 //
-// A span's child list and attributes are mutex-protected: the
-// streaming producer goroutine appends spans to a trace whose root
-// was created by the HTTP handler goroutine. Publication to the Ring
+// A span's child list and attributes are mutex-protected: concurrent
+// batch statements append spans to a trace whose root was created by
+// the HTTP handler goroutine. Publication to the Ring
 // must happen only after every goroutine that could touch the trace
 // has been joined (the server publishes after the handler — and thus
 // the stream drain — returns).

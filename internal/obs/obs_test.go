@@ -306,7 +306,7 @@ func TestHistSnapshotQuantile(t *testing.T) {
 // exposition prints a finite cumulative bucket above le="+Inf". Run
 // under -race (the Makefile's race target includes this package).
 func TestDurationHistSnapshotConsistent(t *testing.T) {
-	h := NewDurationHist(StallBounds)
+	h := NewDurationHist([]float64{0.0001, 0.001, 0.01, 0.1, 1, 10})
 	const workers, per = 4, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -4,8 +4,8 @@
 // run directly on the relational engine. Both then share one
 // relational tail: HAVING, ORDER BY and LIMIT run on the engine's
 // Filter / Sort / Limit operators (buildTail), with a fused result's
-// lineage carried through them, and both stream through one producer
-// loop.
+// lineage carried through them, and both stream through one pull
+// cursor (Rows) on the consumer's goroutine.
 //
 // With a Cache installed the executor maintains two tiers: parsed
 // plans keyed by statement text, and — the warmest tier — complete
@@ -85,13 +85,14 @@ type ExecOptions struct {
 	// statement deadline of batch execution.
 	Timeout time.Duration
 	// OnFinish, when set on a streaming execution (StreamContext), is
-	// invoked exactly once from the producer goroutine when the
-	// stream's outcome is final: the fusion summary (nil for plain
-	// SQL or failed pipelines) and the terminal error (nil for a
-	// complete drain and for a deliberate early Close). The DB layer
-	// hooks its query/error counters here, since a stream's errors
-	// surface long after the QueryRows call returned. Ignored by the
-	// materialized paths.
+	// invoked exactly once, on the consumer's goroutine, when the
+	// stream's outcome is final — at the end of the drain, on an
+	// error, or at Close: the fusion summary (nil for plain SQL or
+	// failed pipelines) and the terminal error (nil for a complete
+	// drain and for a deliberate early Close). The DB layer hooks its
+	// query/error counters here, since a stream's errors surface long
+	// after the QueryRows call returned. Ignored by the materialized
+	// paths.
 	OnFinish func(summary *core.Summary, err error)
 }
 

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"sync/atomic"
@@ -16,25 +15,13 @@ import (
 	"hummer/internal/obs"
 	"hummer/internal/relation"
 	"hummer/internal/schema"
-	"hummer/internal/sql"
 	"hummer/internal/value"
 )
 
-// streamChunkRows is how many rows a stream producer batches per
-// channel send: large enough that channel synchronization vanishes
-// next to per-row work, small enough that the consumer's working set
-// stays a few KB and time-to-first-row stays low.
-const streamChunkRows = 64
-
-// streamEvent is one message from a stream's producer goroutine. The
-// first event is always the schema (or nothing, when the statement
-// fails before producing one — the failure then travels out-of-band,
-// published before the channel closes). Later events carry row chunks.
-type streamEvent struct {
-	schema *schema.Schema
-	rows   []relation.Row
-	lins   [][]lineage.Set // aligned with rows; nil when absent
-}
+// streamFaultStride is how many delivered rows separate two hits of
+// the SitePlanStream fault point, so the harness can fail a stream
+// mid-flight, after rows have already reached the consumer.
+const streamFaultStride = 64
 
 // Rows is a streaming cursor over one statement's result, the
 // incremental alternative to QueryResult's all-at-once table:
@@ -48,67 +35,49 @@ type streamEvent struct {
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
-// Plain SELECT statements stream genuinely: rows leave the Volcano
-// operator tree in chunks as the scan advances, and a cancelled
-// context stops the scan mid-flight. Fusion statements must compute
-// the complete fused table before the first row exists (fusion groups
-// globally), but the result is then emitted in chunks without the
-// caller ever holding a second materialized copy — and a warm
+// Rows is a pull cursor over a Volcano operator tree: the statement
+// executes on the goroutine that first calls Columns, Schema or Next,
+// and each Next pulls one row. Plain SELECT statements stream
+// genuinely — rows leave the tree as the scan advances, and a
+// cancelled context stops the scan mid-flight. Fusion statements must
+// compute the complete fused table before the first row exists
+// (fusion groups globally); their tree is then a scan over that table,
+// so the caller never holds a second materialized copy — and a warm
 // fused-cache hit streams straight from the slim cached entry. A
 // drained stream yields exactly the rows, in exactly the order, of the
 // equivalent QueryContext call.
 //
 // A Rows is not safe for concurrent use. Close must be called (All
-// does it automatically); abandoning a Rows without Close leaks its
-// producer goroutine until the parent context ends.
+// does it automatically) to end the stream's trace span and report
+// ExecOptions.OnFinish; an abandoned Rows holds no goroutine.
 type Rows struct {
-	cancel context.CancelFunc
-	events chan streamEvent
-	// earlyClose is set by Close before it cancels the producer, so
-	// the producer can tell a deliberate Close (not an error) from an
-	// external cancellation (one). Atomic: Close's store and the
-	// producer's load race only across the ctx-done synchronization.
-	earlyClose atomic.Bool
+	ctx    context.Context
+	cancel context.CancelFunc // set only under ExecOptions.Timeout
+	span   *obs.Span
+	// build runs the statement up to its operator tree; for fusion
+	// statements it also sets lin and summary.
+	build    func() (engine.Operator, error)
+	onFinish func(*core.Summary, error)
 
-	// Producer-owned until events is closed (the close is the
-	// happens-before edge): the terminal error and the fusion summary.
-	prodErr     error
-	prodSummary *core.Summary
-
+	op      engine.Operator
+	lin     [][]lineage.Set // aligned with the fused rows; nil when absent
+	summary *core.Summary
 	schema  *schema.Schema
-	cur     []relation.Row
-	curLins [][]lineage.Set
-	pos     int
+	n       int // rows delivered
 	row     relation.Row
 	rowLin  []lineage.Set
 	err     error
-	drained bool
-	closed  bool
-
-	// emitted counts rows this stream's producer has handed to the
-	// event channel. Producer-owned while the stream is live; the
-	// channel close publishes it, so Emitted is valid after the end.
-	emitted int
+	done    bool
 }
 
-// Emitted reports how many rows this stream's producer emitted into
-// the producer→consumer buffer. Valid once the stream has ended (Next
-// returned false, or after Close); a live stream's count is racy and
-// deliberately not exposed.
-func (r *Rows) Emitted() int {
-	if r.drained || r.closed {
-		return r.emitted
-	}
-	return 0
-}
-
-// StreamContext parses the statement and starts executing it in a
-// producer goroutine, returning a cursor over the result rows. Parse
-// errors are reported synchronously; execution errors surface through
-// Columns, Next and Err. opt applies as in QueryWith — NoLineage stops
-// per-row lineage from being attached, Timeout bounds the whole
-// stream's lifetime, and Trace is accepted but useless here (a stream
-// exposes no Pipeline; it only forces the fused-tier bypass).
+// StreamContext parses the statement and returns a cursor over its
+// result rows; execution starts at the first Columns, Schema or Next,
+// on the caller's goroutine. Parse errors are reported synchronously;
+// execution errors surface through Columns, Next and Err. opt applies
+// as in QueryWith — NoLineage stops per-row lineage from being
+// attached, Timeout bounds the whole stream's lifetime, and Trace is
+// accepted but useless here (a stream exposes no Pipeline; it only
+// forces the fused-tier bypass).
 func (e *Executor) StreamContext(ctx context.Context, q string, opt ExecOptions) (*Rows, error) {
 	if e.Repo == nil {
 		return nil, fmt.Errorf("plan: executor has no repository")
@@ -119,284 +88,167 @@ func (e *Executor) StreamContext(ctx context.Context, q string, opt ExecOptions)
 	if err != nil {
 		return nil, err
 	}
-	var cancel context.CancelFunc
+	r := &Rows{onFinish: opt.OnFinish}
 	if opt.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		ctx, r.cancel = context.WithTimeout(ctx, opt.Timeout)
 	}
-	r := &Rows{cancel: cancel, events: make(chan streamEvent, 1)}
-	go r.produce(ctx, e, stmt, q, opt)
-	return r, nil
-}
-
-// produce executes the statement and feeds the event channel. Every
-// send gives up when ctx is cancelled (Close cancels it), so the
-// producer can never outlive an abandoned-then-closed stream; its
-// final act is always to publish the terminal state and close the
-// channel — the consumer's join point. The producer goroutine is a
-// containment boundary: a panic anywhere in execution becomes the
-// stream's terminal *fault.InternalError, published before the close,
-// never a process crash.
-func (r *Rows) produce(ctx context.Context, e *Executor, stmt *sql.Stmt, q string, opt ExecOptions) {
-	defer close(r.events)
-	// Backstop for the span/option bookkeeping around the captured
-	// execution below: a panic there must still become the stream's
-	// terminal error (published via prodErr before the deferred close
-	// releases the consumer), never a process crash.
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.prodErr = fault.NewInternal(faultinject.SitePlanStream, rec)
-		}
-	}()
 	// The stream span covers execution plus the full drain: its
 	// duration is the stream's wall time as the consumer experienced
 	// it, with the execution sub-spans (cache.fused, pipeline, ...)
-	// nested under it. The handler publishes the trace only after
-	// joining this goroutine, so the span tree is quiescent by then.
-	sctx, sp := obs.StartSpan(ctx, "stream")
-	err := func() (err error) {
-		defer fault.Capture(faultinject.SitePlanStream, &err)
-		if err := faultinject.Hit(faultinject.SitePlanStream); err != nil {
-			return err
-		}
-		return r.run(sctx, e, stmt, q, opt)
-	}()
-	sp.SetInt("rows", r.emitted)
-	sp.End()
-	if err != nil && r.earlyClose.Load() && errors.Is(err, context.Canceled) {
-		// The consumer closed the stream on purpose; the resulting
-		// cancellation is a clean shutdown, not a failure.
-		err = nil
-	}
-	r.prodErr = err
-	if opt.OnFinish != nil {
-		opt.OnFinish(r.prodSummary, err)
-	}
-}
-
-// run does the actual execution; its error return becomes the
-// stream's terminal error.
-func (r *Rows) run(ctx context.Context, e *Executor, stmt *sql.Stmt, q string, opt ExecOptions) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Fused results stream from their finished table (fusion groups
-	// globally, so no row exists before the pipeline ends); plain SELECT
-	// streams from its operator tree. lin, aligned with the fused rows,
-	// travels with each chunk; executeFusion already projected the
-	// options, so under NoLineage it is nil (trimResult).
-	var op engine.Operator
-	var lin [][]lineage.Set
+	// nested under it.
+	r.ctx, r.span = obs.StartSpan(ctx, "stream")
 	if stmt.IsFusion() {
-		res, err := e.executeFusion(ctx, stmt, q, opt)
-		if err != nil {
-			return err
+		// Fused results stream from their finished table; executeFusion
+		// already projected the options, so under NoLineage lin is nil
+		// (trimResult).
+		r.build = func() (engine.Operator, error) {
+			res, err := e.executeFusion(r.ctx, stmt, q, opt)
+			if err != nil {
+				return nil, err
+			}
+			r.summary, r.lin = res.Summary, res.Lineage
+			return engine.NewScan(res.Rel), nil
 		}
-		r.prodSummary = res.Summary
-		op, lin = engine.NewScan(res.Rel), res.Lineage
 	} else {
 		// share=false: the streaming path trades subtree sharing for
 		// genuine row-at-a-time streaming — materializing a CSE
 		// intermediate here would move time-to-first-row back to
 		// time-to-last-row.
-		var err error
-		if op, err = e.buildPlain(ctx, stmt, false); err != nil {
-			return err
-		}
+		r.build = func() (engine.Operator, error) { return e.buildPlain(r.ctx, stmt, false) }
+	}
+	return r, nil
+}
+
+// open executes the statement up to its open operator tree, once; a
+// failure ends the stream.
+func (r *Rows) open() {
+	if r.op != nil || r.done {
+		return
+	}
+	if err := r.start(); err != nil {
+		r.finish(err)
+	}
+}
+
+// start and pull are the stream's containment boundary: a panic
+// anywhere in execution becomes the stream's terminal
+// *fault.InternalError, never a crash of the consuming goroutine.
+func (r *Rows) start() (err error) {
+	defer fault.Capture(faultinject.SitePlanStream, &err)
+	if err := faultinject.Hit(faultinject.SitePlanStream); err != nil {
+		return err
+	}
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
+	op, err := r.build()
+	if err != nil {
+		return err
 	}
 	if err := op.Open(); err != nil {
 		return err
 	}
-	if !r.send(ctx, streamEvent{schema: op.Schema()}) {
-		return ctx.Err()
+	r.op, r.schema = op, op.Schema()
+	return nil
+}
+
+// pull fetches the next row; ok is false whenever err is set. The
+// fault point fires before the pull that follows every
+// streamFaultStride delivered rows and after a final partial run:
+// 1 + ⌈n/stride⌉ hits per n-row stream, start's included.
+func (r *Rows) pull() (row relation.Row, ok bool, err error) {
+	defer fault.Capture(faultinject.SitePlanStream, &err)
+	if r.n > 0 && r.n%streamFaultStride == 0 {
+		if err := faultinject.Hit(faultinject.SitePlanStream); err != nil {
+			return nil, false, err
+		}
 	}
-	chunk := make([]relation.Row, 0, streamChunkRows)
-	for n := 0; ; {
-		if err := ctx.Err(); err != nil {
-			return err
+	if err := r.ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	if row, ok = r.op.Next(); !ok && r.n%streamFaultStride != 0 {
+		if err := faultinject.Hit(faultinject.SitePlanStream); err != nil {
+			return nil, false, err
 		}
-		row, ok := op.Next()
-		if ok {
-			chunk = append(chunk, row)
-		}
-		if (!ok && len(chunk) > 0) || len(chunk) == streamChunkRows {
-			ev := streamEvent{rows: chunk}
-			if lin != nil {
-				ev.lins = lin[n : n+len(chunk)]
-			}
-			if !r.send(ctx, ev) {
-				return ctx.Err()
-			}
-			n += len(chunk)
-			chunk = make([]relation.Row, 0, streamChunkRows)
-			// Chunk-boundary fault point: lets the harness fail a stream
-			// mid-flight, after rows have already reached the consumer.
-			if err := faultinject.Hit(faultinject.SitePlanStream); err != nil {
-				return err
-			}
-		}
-		if !ok {
-			return nil
-		}
+	}
+	return row, ok, nil
+}
+
+// finish ends the stream exactly once: at the end of the drain, on an
+// error, or at Close (an early Close passes nil — it is not an error).
+func (r *Rows) finish(err error) {
+	r.done, r.err = true, err
+	producedRows.Add(uint64(r.n))
+	r.span.SetInt("rows", r.n)
+	r.span.End()
+	if r.cancel != nil {
+		r.cancel()
+	}
+	if r.onFinish != nil {
+		r.onFinish(r.summary, err)
 	}
 }
 
-// queuedEvents counts stream events sitting in producer→consumer
-// buffers across all live Rows: the backpressure gauge hummerd
-// exports as hummer_stream_chunk_queue_depth. A persistently high
-// depth means producers outrun consumers (slow clients holding
-// materialized chunks); zero at rest proves streams drain fully.
-var queuedEvents atomic.Int64
-
-// producedRows counts rows emitted by stream producers into the
-// producer→consumer buffers, across all streams over the process
-// lifetime — the throughput companion to the queue-depth gauge,
-// exported as hummer_stream_produced_rows_total.
+// producedRows counts rows yielded by stream cursors, across all
+// streams over the process lifetime, exported as
+// hummer_stream_produced_rows_total.
 var producedRows atomic.Uint64
 
-// stallHist records how long producers spent blocked on a full event
-// buffer waiting for the consumer — the direct measure of consumer
-// backpressure (a slow client stalls its producer here). Only actual
-// blocking is observed; an immediate send costs nothing.
-var stallHist = obs.NewDurationHist(obs.StallBounds)
-
-// StreamQueueDepth reports how many stream events are currently
-// buffered between producers and consumers, summed over all live
-// streams.
-func StreamQueueDepth() int64 { return queuedEvents.Load() }
-
-// StreamProducedRows reports the total rows emitted by stream
-// producers process-wide.
+// StreamProducedRows reports the total rows yielded by stream cursors
+// process-wide; a stream's rows are counted when it ends.
 func StreamProducedRows() uint64 { return producedRows.Load() }
 
-// StreamStallSnapshot returns the consumer-stall-time histogram:
-// every observation is one producer send that had to block on a full
-// buffer, bucketed by how long it waited.
-func StreamStallSnapshot() obs.HistSnapshot { return stallHist.Snapshot() }
+// StreamStallSnapshot returns an empty histogram: streams run on the
+// consumer's goroutine, so no producer ever waits on a consumer. The
+// benchmark harness still compiles against it; ROADMAP item 4b
+// retires it.
+func StreamStallSnapshot() obs.HistSnapshot { return obs.HistSnapshot{} }
 
-// send delivers one event unless the stream's context ends first.
-// A send that cannot complete immediately is a consumer stall; the
-// time spent blocked is recorded whether or not the send eventually
-// succeeds (a cancelled wait was still time lost to backpressure).
-func (r *Rows) send(ctx context.Context, ev streamEvent) bool {
-	select {
-	case r.events <- ev:
-	case <-ctx.Done():
-		return false
-	default:
-		// Wall-clock reads here time consumer stalls for the
-		// backpressure histogram only; they never touch row data, so
-		// the byte-identity contract is unaffected.
-		//lint:ignore hummer/determinism stall-metric timing only; never reaches result bytes
-		t0 := time.Now()
-		select {
-		case r.events <- ev:
-			//lint:ignore hummer/determinism stall-metric timing only; never reaches result bytes
-			stallHist.Observe(time.Since(t0))
-		case <-ctx.Done():
-			//lint:ignore hummer/determinism stall-metric timing only; never reaches result bytes
-			stallHist.Observe(time.Since(t0))
-			return false
-		}
-	}
-	queuedEvents.Add(1)
-	if n := len(ev.rows); n > 0 {
-		r.emitted += n
-		producedRows.Add(uint64(n))
-	}
-	return true
-}
-
-// next receives one event, folding terminal state in when the channel
-// closes. Returns false at end of stream (or after an error).
-func (r *Rows) next() (streamEvent, bool) {
-	ev, ok := <-r.events
-	if ok {
-		queuedEvents.Add(-1)
-	}
-	if !ok {
-		if !r.drained {
-			r.drained = true
-			// The channel close ordered these producer writes before us.
-			r.err = r.prodErr
-		}
-		return streamEvent{}, false
-	}
-	return ev, true
-}
-
-// Columns returns the result's column names, blocking until the
-// statement has executed far enough to know them (for fusion
-// statements: until the pipeline has run). It fails with the
-// statement's error when execution dies before producing a schema —
-// callers can therefore use it to distinguish "bad statement" from
-// "streamable result" before consuming any rows.
+// Columns returns the result's column names, executing the statement
+// far enough to know them (for fusion statements: running the
+// pipeline). It fails with the statement's error when execution dies
+// before producing a schema — callers can therefore use it to
+// distinguish "bad statement" from "streamable result" before
+// consuming any rows.
 func (r *Rows) Columns() ([]string, error) {
-	if err := r.waitSchema(); err != nil {
+	s, err := r.Schema()
+	if err != nil {
 		return nil, err
 	}
-	return r.schema.Names(), nil
+	return s.Names(), nil
 }
 
 // Schema is Columns with types: the full result schema.
 func (r *Rows) Schema() (*schema.Schema, error) {
-	if err := r.waitSchema(); err != nil {
-		return nil, err
+	r.open()
+	switch {
+	case r.schema != nil:
+		return r.schema, nil
+	case r.err != nil:
+		return nil, r.err
+	default:
+		return nil, fmt.Errorf("plan: stream is closed")
 	}
-	return r.schema, nil
-}
-
-func (r *Rows) waitSchema() error {
-	for r.schema == nil {
-		if r.closed {
-			return fmt.Errorf("plan: stream is closed")
-		}
-		if r.err != nil {
-			return r.err
-		}
-		ev, ok := r.next()
-		if !ok {
-			if r.err != nil {
-				return r.err
-			}
-			return fmt.Errorf("plan: stream ended before a schema")
-		}
-		if ev.schema != nil {
-			r.schema = ev.schema
-		}
-	}
-	return nil
 }
 
 // Next advances to the next row, returning false at the end of the
 // stream or on error (consult Err to tell the two apart).
 func (r *Rows) Next() bool {
-	if r.closed || r.err != nil {
+	r.open()
+	if r.done {
 		return false
 	}
-	for {
-		if r.pos < len(r.cur) {
-			r.row = r.cur[r.pos]
-			if r.curLins != nil {
-				r.rowLin = r.curLins[r.pos]
-			} else {
-				r.rowLin = nil
-			}
-			r.pos++
-			return true
-		}
-		ev, ok := r.next()
-		if !ok {
-			return false
-		}
-		switch {
-		case ev.schema != nil:
-			r.schema = ev.schema
-		default:
-			r.cur, r.curLins, r.pos = ev.rows, ev.lins, 0
-		}
+	row, ok, err := r.pull()
+	if !ok {
+		r.finish(err)
+		return false
 	}
+	r.row, r.rowLin = row, nil
+	if r.lin != nil {
+		r.rowLin = r.lin[r.n]
+	}
+	r.n++
+	return true
 }
 
 // Row returns the current row (valid until the next call to Next).
@@ -500,29 +352,17 @@ func (r *Rows) Err() error { return r.err }
 // Next returned false or Close was called); nil for plain SQL and for
 // streams that failed before the pipeline finished.
 func (r *Rows) Summary() *core.Summary {
-	if r.drained || r.closed {
-		return r.prodSummary
+	if r.done {
+		return r.summary
 	}
 	return nil
 }
 
-// Close cancels the producer and releases the stream. It is
-// idempotent, joins the producer goroutine, and never overwrites an
+// Close ends the stream. It is idempotent and never overwrites an
 // error already reported by Next/Err.
 func (r *Rows) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	r.earlyClose.Store(true)
-	r.cancel()
-	// Drain to the producer's close — the join. Terminal state is
-	// deliberately NOT folded in: an early Close is not an error.
-	for range r.events {
-		queuedEvents.Add(-1)
-	}
-	if !r.drained {
-		r.drained = true
+	if !r.done {
+		r.finish(nil)
 	}
 	return nil
 }

@@ -113,9 +113,9 @@ func TestStreamLineage(t *testing.T) {
 	}
 }
 
-// TestFusionStreamCrossesChunks: a fused result several chunks long
-// streams, at every position, the row and lineage of the materialized
-// query, so each chunk's lineage slice follows the row offset.
+// TestFusionStreamCrossesChunks: a fused result several fault strides
+// long streams, at every position, the row and lineage of the
+// materialized query, so each row's lineage follows the row offset.
 func TestFusionStreamCrossesChunks(t *testing.T) {
 	repo := metadata.NewRepository()
 	ents := datagen.Persons.Generate(7, 200)
@@ -132,9 +132,9 @@ func TestFusionStreamCrossesChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Rel.Len() <= 2*streamChunkRows || len(want.Lineage) != want.Rel.Len() {
+	if want.Rel.Len() <= 2*streamFaultStride || len(want.Lineage) != want.Rel.Len() {
 		t.Fatalf("fused rows = %d, lineage rows = %d; want > %d each",
-			want.Rel.Len(), len(want.Lineage), 2*streamChunkRows)
+			want.Rel.Len(), len(want.Lineage), 2*streamFaultStride)
 	}
 	rows, err := e.StreamContext(t.Context(), q, ExecOptions{})
 	if err != nil {
@@ -221,8 +221,8 @@ func TestStreamStatementError(t *testing.T) {
 	}
 }
 
-// TestStreamEarlyClose: closing a partially drained stream joins the
-// producer, reports no error, and All() auto-closes.
+// TestStreamEarlyClose: closing a partially drained stream ends it,
+// reports no error, and All() auto-closes.
 func TestStreamEarlyClose(t *testing.T) {
 	e := testExecutor(t)
 	before := runtime.NumGoroutine()
@@ -262,10 +262,33 @@ func TestStreamEarlyClose(t *testing.T) {
 	testutil.WaitForGoroutines(t, before+2)
 }
 
+// TestStreamAbandonedHoldsNoGoroutine: a stream abandoned without
+// Close, mid-drain, holds no goroutine — execution runs on the
+// consumer's goroutine and stops when it stops pulling.
+func TestStreamAbandonedHoldsNoGoroutine(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	big := relation.NewBuilder("big", "N")
+	for i := 0; i < 600; i++ {
+		big.AddText(string(rune('a' + i%26)))
+	}
+	e := testExecutor(t)
+	if err := e.Repo.RegisterRelation("big", big.Build()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		rows, err := e.StreamContext(context.Background(), `SELECT N FROM big, big`, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() {
+			t.Fatalf("no first row: %v", rows.Err())
+		}
+	}
+}
+
 // TestStreamCancelMidFlight: cancelling the stream's context ends it
-// with ctx's error and joins the producer. The self-cross-joined
-// relation yields far more rows than the producer may buffer ahead
-// (one chunk in the channel, one blocked send), so the cancellation
+// with ctx's error. The self-cross-joined relation yields far more
+// rows than the one read before the cancel, so the cancellation
 // verifiably lands mid-production.
 func TestStreamCancelMidFlight(t *testing.T) {
 	big := relation.NewBuilder("big", "N")

@@ -205,9 +205,6 @@ sampling:
 	if st.InflightQueries != 0 || st.AdmissionWaiters != 0 {
 		t.Errorf("at rest: inflight = %d, waiters = %d, want 0/0", st.InflightQueries, st.AdmissionWaiters)
 	}
-	if st.StreamChunkQueueDepth != 0 {
-		t.Errorf("at rest: stream chunk queue depth = %d, want 0", st.StreamChunkQueueDepth)
-	}
 	if st.DB.Cache.Waiters != 0 {
 		t.Errorf("at rest: cache waiters = %d, want 0", st.DB.Cache.Waiters)
 	}

@@ -286,7 +286,7 @@ func TestHandlerPanicContained(t *testing.T) {
 
 // TestStreamPanicContained: a panic injected into the stream handler
 // before any bytes are written maps to a clean 500; one injected deep
-// in the producer (after headers) surfaces as the in-band error
+// in the stream cursor (after headers) surfaces as the in-band error
 // record. Either way the server keeps serving.
 func TestStreamPanicContained(t *testing.T) {
 	db := studentFixture(t)
@@ -301,10 +301,9 @@ func TestStreamPanicContained(t *testing.T) {
 		t.Fatalf("faulted stream: status %d (%s), want 500", resp.StatusCode, body)
 	}
 
-	// Deep fault: After skips the producer-start hit so the panic fires
-	// at the first chunk boundary — inside the producer goroutine, after
-	// the NDJSON stream has started — and is reported as the terminal
-	// error record.
+	// Deep fault: After skips the cursor's start hit so the panic fires
+	// at the cursor's next hit — after the NDJSON stream has started —
+	// and is reported as the terminal error record.
 	faultinject.Arm(&faultinject.Plan{Rules: []faultinject.Rule{
 		{Site: faultinject.SitePlanStream, Kind: faultinject.Panic, After: 1, Times: 1},
 	}})
@@ -325,8 +324,8 @@ func TestStreamPanicContained(t *testing.T) {
 }
 
 // TestStatsAndMetricsExposeFaultCounters: the new observability
-// surface — panic/internal-error counters, admission-wait series and
-// the stream chunk-queue depth gauge — is present on both endpoints.
+// surface — panic/internal-error counters and the admission-wait
+// series — is present on both endpoints.
 func TestStatsAndMetricsExposeFaultCounters(t *testing.T) {
 	db := studentFixture(t)
 	ts := newLifecycleServer(t, db)
@@ -338,7 +337,6 @@ func TestStatsAndMetricsExposeFaultCounters(t *testing.T) {
 	for _, field := range []string{
 		`"panics_recovered"`, `"internal_errors"`,
 		`"admission_waiters"`, `"admission_waits"`, `"admission_wait_timeouts"`,
-		`"stream_chunk_queue_depth"`,
 	} {
 		if !strings.Contains(string(raw), field) {
 			t.Errorf("stats JSON missing %s: %s", field, raw)
@@ -360,10 +358,52 @@ func TestStatsAndMetricsExposeFaultCounters(t *testing.T) {
 		"# TYPE hummer_admission_waits_total counter",
 		"# TYPE hummer_admission_wait_timeouts_total counter",
 		"# TYPE hummer_admission_waiters gauge",
-		"# TYPE hummer_stream_chunk_queue_depth gauge",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestInjectedErrorsCountAsQueries: a statement that fails on an
+// injected handler error is counted in hummer_queries_total as well as
+// in hummer_query_errors_total; the request-level batch fault runs no
+// statement and counts as neither.
+func TestInjectedErrorsCountAsQueries(t *testing.T) {
+	ts := newLifecycleServer(t, studentFixture(t))
+	for _, c := range []struct {
+		site, path string
+		body       any
+	}{
+		{faultinject.SiteServerQuery, "/v1/query", queryRequest{SQL: fuseQuery}},
+		{faultinject.SiteServerStream, "/v1/query/stream", queryRequest{SQL: fuseQuery}},
+		{faultinject.SiteServerBatch, "/v1/batch", batchRequest{Statements: []string{fuseQuery}}},
+	} {
+		faultinject.Arm(&faultinject.Plan{Rules: []faultinject.Rule{
+			{Site: c.site, Kind: faultinject.Error, Times: 1},
+		}})
+		status, body := doJSON(t, ts, http.MethodPost, c.path, c.body)
+		faultinject.Disarm()
+		if status == http.StatusOK {
+			t.Fatalf("%s: status 200 despite the injected error: %s", c.site, body)
+		}
+	}
+	_, text := doJSON(t, ts, http.MethodGet, "/metrics", nil)
+	counter := func(name string) uint64 {
+		for _, line := range strings.Split(string(text), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no %s", name)
+		return 0
+	}
+	queries, errs := counter("hummer_queries_total"), counter("hummer_query_errors_total")
+	if errs != 2 || queries < errs {
+		t.Errorf("queries_total = %d, query_errors_total = %d; want errors 2 <= queries", queries, errs)
 	}
 }

@@ -41,16 +41,12 @@ func latencySummary(s obs.HistSnapshot) LatencySummary {
 	}
 }
 
-// writeHistogram renders one histogram series in the Prometheus text
-// format: cumulative _bucket lines (le-convention, ending at +Inf),
-// then _sum and _count. labelKey == "" renders an unlabelled series.
-// The family's HELP/TYPE header is the caller's.
+// writeHistogram renders one labelled histogram series in the
+// Prometheus text format: cumulative _bucket lines (le-convention,
+// ending at +Inf), then _sum and _count. The family's HELP/TYPE header
+// is the caller's.
 func writeHistogram(b *strings.Builder, family, labelKey, labelValue string, snap obs.HistSnapshot) {
-	label, sel := "", ""
-	if labelKey != "" {
-		label = fmt.Sprintf("%s=%q,", labelKey, labelValue)
-		sel = "{" + label[:len(label)-1] + "}"
-	}
+	label := fmt.Sprintf("%s=%q", labelKey, labelValue)
 	var cum uint64
 	for i, n := range snap.Buckets {
 		cum += n
@@ -58,8 +54,8 @@ func writeHistogram(b *strings.Builder, family, labelKey, labelValue string, sna
 		if i < len(snap.Bounds) {
 			le = strconv.FormatFloat(snap.Bounds[i], 'g', -1, 64) // shortest exact decimal
 		}
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", family, label, le, cum)
+		fmt.Fprintf(b, "%s_bucket{%s,le=%q} %d\n", family, label, le, cum)
 	}
-	fmt.Fprintf(b, "%s_sum%s %s\n", family, sel, formatFloat(snap.Seconds))
-	fmt.Fprintf(b, "%s_count%s %d\n", family, sel, snap.Count)
+	fmt.Fprintf(b, "%s_sum{%s} %s\n", family, label, formatFloat(snap.Seconds))
+	fmt.Fprintf(b, "%s_count{%s} %d\n", family, label, snap.Count)
 }

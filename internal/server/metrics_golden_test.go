@@ -3,13 +3,11 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"hummer"
-	"hummer/internal/obs"
 )
 
 // metricsText scrapes s's /metrics page in-process.
@@ -63,37 +61,6 @@ func TestMetricsHistogramGolden(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s exposition changed:\n--- got\n%s--- want\n%s", c.family, got, c.want)
 		}
-	}
-}
-
-// TestMetricsStallHistogramShape checks the structure of the
-// consumer-stall family, whose counts come from a process-global
-// histogram other tests also feed: HELP/TYPE, one bucket per stall
-// bound in order, then +Inf equal to _count.
-func TestMetricsStallHistogramShape(t *testing.T) {
-	const fam = "hummer_stream_consumer_stall_seconds"
-	lines := familyLines(metricsText(t, New(hummer.New())), fam)
-	want := len(obs.StallBounds) + 5 // HELP, TYPE, buckets, +Inf, _sum, _count
-	if len(lines) != want {
-		t.Fatalf("%s: %d lines, want %d:\n%s", fam, len(lines), want, strings.Join(lines, "\n"))
-	}
-	if !strings.HasPrefix(lines[0], "# HELP "+fam+" ") || lines[1] != "# TYPE "+fam+" histogram" {
-		t.Fatalf("%s header = %q / %q", fam, lines[0], lines[1])
-	}
-	for i, bound := range obs.StallBounds {
-		prefix := fam + `_bucket{le="` + strconv.FormatFloat(bound, 'g', -1, 64) + `"} `
-		if !strings.HasPrefix(lines[2+i], prefix) {
-			t.Errorf("bucket %d = %q, want prefix %q", i, lines[2+i], prefix)
-		}
-	}
-	inf := lines[2+len(obs.StallBounds)]
-	sum, count := lines[3+len(obs.StallBounds)], lines[4+len(obs.StallBounds)]
-	infPrefix := fam + `_bucket{le="+Inf"} `
-	if !strings.HasPrefix(inf, infPrefix) || !strings.HasPrefix(sum, fam+"_sum ") || !strings.HasPrefix(count, fam+"_count ") {
-		t.Fatalf("%s tail = %q / %q / %q", fam, inf, sum, count)
-	}
-	if strings.TrimPrefix(inf, infPrefix) != strings.TrimPrefix(count, fam+"_count ") {
-		t.Errorf("%s: +Inf %q != _count %q", fam, inf, count)
 	}
 }
 

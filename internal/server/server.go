@@ -42,7 +42,7 @@
 //
 // Handlers are a containment boundary: a panic anywhere below (and
 // not already contained by a deeper boundary — parshard workers, the
-// stream producer, qcache leaders) is recovered in the Handler
+// stream cursor, qcache leaders) is recovered in the Handler
 // middleware, converted to a *fault.InternalError, counted, and
 // answered with 500 when the response is still unwritten. The process
 // survives, the DB stays usable, and subsequent queries return
@@ -120,9 +120,7 @@ type Server struct {
 	clientGone   atomic.Uint64
 	timeouts     atomic.Uint64
 	bodyTimeouts atomic.Uint64
-	queryCount   atomic.Uint64
 	queryErrors  atomic.Uint64
-	queryNanos   atomic.Uint64
 
 	// Admission wait-queue traffic and fault containment (exposed
 	// alongside the above).
@@ -307,9 +305,8 @@ func (s *Server) Handler() http.Handler {
 			rec := recover()
 			// Publish the trace even for requests that died on a panic
 			// or disconnect: partial trees are exactly what a postmortem
-			// wants. Safe here — the handler (and thus any stream drain
-			// that joins the producer goroutine) has returned, so the
-			// span tree is quiescent.
+			// wants. Safe here — the handler (and thus any stream drain)
+			// has returned, so the span tree is quiescent.
 			if tr != nil {
 				tr.Finish()
 				s.ring.Add(tr)
@@ -459,22 +456,14 @@ type statsResponse struct {
 	// InternalErrors counts requests that failed on one.
 	PanicsRecovered uint64 `json:"panics_recovered"`
 	InternalErrors  uint64 `json:"internal_errors"`
-	// StreamChunkQueueDepth is the number of stream row chunks
-	// currently buffered between producers and consumers — the
-	// streaming backpressure gauge.
-	StreamChunkQueueDepth int64 `json:"stream_chunk_queue_depth"`
 	// QuerySeconds is the total wall-clock time spent executing
 	// statements (sum over /v1/query, /v1/query/stream and /v1/batch
 	// statements, including failed ones).
 	QuerySeconds float64 `json:"query_seconds"`
-	// StreamProducedRows counts rows pushed by stream producers (as
+	// StreamProducedRows counts rows yielded by stream cursors (as
 	// opposed to StreamedRows, which counts NDJSON records the HTTP
-	// layer emitted); StreamStalls / StreamStallSeconds summarize the
-	// times a producer found the chunk channel full and had to wait —
-	// the consumer-side backpressure signal.
-	StreamProducedRows uint64  `json:"stream_produced_rows"`
-	StreamStalls       uint64  `json:"stream_stalls"`
-	StreamStallSeconds float64 `json:"stream_stall_seconds"`
+	// layer emitted).
+	StreamProducedRows uint64 `json:"stream_produced_rows"`
 	// Latency summarizes the per-class latency histograms: keys are
 	// "query" (materialized statements), "stream" (whole-stream wall
 	// clock) and "batch" (individual batch statements); percentiles
@@ -494,8 +483,21 @@ type statsResponse struct {
 	DB             hummer.Stats `json:"db"`
 }
 
+// statementTotals sums the three per-class latency histograms. Every
+// executed statement, failed ones included, is observed in exactly one
+// of them, so the sums are the statement count and the total statement
+// time.
+func (s *Server) statementTotals() (count uint64, seconds float64) {
+	for _, h := range []*obs.DurationHist{s.latQuery, s.latStream, s.latBatch} {
+		snap := h.Snapshot()
+		count += snap.Count
+		seconds += snap.Seconds
+	}
+	return count, seconds
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	stall := plan.StreamStallSnapshot()
+	_, querySeconds := s.statementTotals()
 	phases := make(map[string]LatencySummary)
 	for name, h := range s.phaseSnapshots() {
 		phases[name] = latencySummary(h.Snapshot())
@@ -519,11 +521,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		BodyReadTimeouts:      s.bodyTimeouts.Load(),
 		PanicsRecovered:       fault.Recovered(),
 		InternalErrors:        s.internalErrors.Load(),
-		StreamChunkQueueDepth: plan.StreamQueueDepth(),
-		QuerySeconds:          float64(s.queryNanos.Load()) / float64(time.Second),
+		QuerySeconds:          querySeconds,
 		StreamProducedRows:    plan.StreamProducedRows(),
-		StreamStalls:          stall.Count,
-		StreamStallSeconds:    stall.Seconds,
 		Latency: map[string]LatencySummary{
 			"query":  latencySummary(s.latQuery.Snapshot()),
 			"stream": latencySummary(s.latStream.Snapshot()),
@@ -861,7 +860,7 @@ func (s *Server) classifyQueryError(w http.ResponseWriter, r *http.Request, err 
 		s.writeOverload(w, http.StatusGatewayTimeout, "query exceeded the %s timeout", s.queryTimeout)
 	case errors.As(err, &internal):
 		// A panic contained at a deeper boundary (parshard, qcache
-		// leader, stream producer): one failed query, process intact.
+		// leader, stream cursor): one failed query, process intact.
 		s.internalErrors.Add(1)
 		s.logger.Error("query failed on contained panic",
 			"request_id", obs.RequestID(r.Context()),
@@ -895,9 +894,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "sql is required")
 			return nil, errHandled
 		}
-		if err := faultinject.Hit(faultinject.SiteServerQuery); err != nil {
-			return nil, err
-		}
 
 		// The query runs under the request context — a hung-up client
 		// cancels the pipeline mid-flight — bounded by the shared
@@ -905,12 +901,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// intermediates (the slim Summary feeds the fusion block) and
 		// skips the lineage copy when the client didn't ask.
 		start := time.Now()
-		res, err := s.db.QueryContext(ctx, req.SQL,
-			hummer.WithoutTrace(), hummer.WithLineage(req.Lineage))
-		elapsed := time.Since(start)
-		s.queryCount.Add(1)
-		s.queryNanos.Add(uint64(elapsed))
-		s.latQuery.Observe(elapsed)
+		var res *hummer.Result
+		err := faultinject.Hit(faultinject.SiteServerQuery)
+		if err == nil {
+			res, err = s.db.QueryContext(ctx, req.SQL,
+				hummer.WithoutTrace(), hummer.WithLineage(req.Lineage))
+		}
+		s.latQuery.Observe(time.Since(start))
 		return res, err
 	}()
 	if errors.Is(err, errHandled) {
@@ -958,8 +955,8 @@ func lineageRowJSON(cols []string, rowLin []hummer.LineageSet) []cellLineage {
 // --- Streaming ---------------------------------------------------------------
 
 // streamFlushRows is how many NDJSON row records are written between
-// explicit flushes: one flush per record would defeat the chunked
-// producer; one per response would defeat streaming.
+// explicit flushes: one flush per record would cost a write syscall
+// per row; one per response would defeat streaming.
 const streamFlushRows = 64
 
 // streamRequest is the /v1/query/stream body: a statement plus the
@@ -994,8 +991,8 @@ type streamRecord struct {
 }
 
 // handleQueryStream executes one statement and streams the result as
-// NDJSON (application/x-ndjson): rows leave the server in chunks as
-// the engine produces them, so a large result never needs a second
+// NDJSON (application/x-ndjson): each row is pulled from the engine
+// as it is encoded, so a large result never needs a second
 // materialized copy in the response path. Errors before the first
 // byte are ordinary JSON error responses (same classification as
 // /v1/query); later failures arrive in-band as the trailer record.
@@ -1026,31 +1023,27 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "limit must be >= 0, got %d", *req.Limit)
 		return
 	}
-	if err := faultinject.Hit(faultinject.SiteServerStream); err != nil {
-		s.classifyQueryError(w, r, err)
-		return
-	}
 
 	start := time.Now()
-	rows, err := s.db.QueryRows(ctx, req.SQL,
-		hummer.WithoutTrace(), hummer.WithLineage(req.Lineage))
+	var rows *hummer.Rows
 	var cols []string
+	err := faultinject.Hit(faultinject.SiteServerStream)
+	if err == nil {
+		rows, err = s.db.QueryRows(ctx, req.SQL,
+			hummer.WithoutTrace(), hummer.WithLineage(req.Lineage))
+	}
 	if err == nil {
 		defer rows.Close()
-		// Columns blocks until the statement has executed far enough
-		// to stream (for fusion: until the pipeline ran), so statement
-		// errors are still classifiable as a clean non-200 here.
+		// Columns executes the statement far enough to stream (for
+		// fusion: runs the pipeline), so statement errors are still
+		// classifiable as a clean non-200 here.
 		cols, err = rows.Columns()
 	}
 	if err != nil {
-		elapsed := time.Since(start)
-		s.queryCount.Add(1)
-		s.queryNanos.Add(uint64(elapsed))
-		s.latStream.Observe(elapsed)
+		s.latStream.Observe(time.Since(start))
 		s.classifyQueryError(w, r, err)
 		return
 	}
-	s.queryCount.Add(1)
 	s.streamedQueries.Add(1)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -1081,16 +1074,14 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			rec.Lineage = lineageRowJSON(cols, lin)
 		}
 		if writeErr = enc.Encode(rec); writeErr != nil {
-			break // client gone: stop pulling, Close joins the producer
+			break // client gone: stop pulling
 		}
 		if n++; n%streamFlushRows == 0 {
 			flush()
 		}
 	}
 	s.streamedRows.Add(uint64(n))
-	elapsed := time.Since(start)
-	s.queryNanos.Add(uint64(elapsed))
-	s.latStream.Observe(elapsed)
+	s.latStream.Observe(time.Since(start))
 	switch {
 	case writeErr != nil:
 		// The transport died mid-stream; nothing more can reach the
@@ -1106,7 +1097,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		} else if errors.Is(err, context.Canceled) && r.Context().Err() != nil {
 			s.clientGone.Add(1)
 		} else if errors.As(err, &internal) {
-			// The producer contained a panic mid-stream; the status is
+			// The cursor contained a panic mid-stream; the status is
 			// committed, so the containment surfaces as the in-band
 			// error trailer.
 			s.internalErrors.Add(1)
@@ -1173,7 +1164,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	err := func() error {
 		defer releaseSlot()
 		if err := faultinject.Hit(faultinject.SiteServerBatch); err != nil {
-			s.queryErrors.Add(1)
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return errHandled
 		}
@@ -1223,8 +1213,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Results = make([]batchStatementResponse, len(results))
 		for i, br := range results {
 			s.batchStatements.Add(1)
-			s.queryCount.Add(1)
-			s.queryNanos.Add(uint64(br.Elapsed))
 			s.latBatch.Observe(br.Elapsed)
 			item := &resp.Results[i]
 			item.Seconds = br.Elapsed.Seconds()
@@ -1287,8 +1275,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 	}
 
+	queries, _ := s.statementTotals()
 	counter("hummer_requests_total", "HTTP requests received.", s.requests.Load())
-	counter("hummer_queries_total", "Statements executed via /v1/query, /v1/query/stream and /v1/batch.", s.queryCount.Load())
+	counter("hummer_queries_total", "Statements executed via /v1/query, /v1/query/stream and /v1/batch.", queries)
 	counter("hummer_query_errors_total", "Queries that returned an error (including cancellations and timeouts).", s.queryErrors.Load())
 	counter("hummer_queries_rejected_total", "Queries rejected by the inflight admission cap (HTTP 429).", s.rejected.Load())
 	counter("hummer_query_client_disconnects_total", "Queries cancelled because the client closed the connection (HTTP 499).", s.clientGone.Load())
@@ -1304,7 +1293,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("hummer_admission_waits_total", "Requests that queued for an admission slot.", s.queuedTotal.Load())
 	counter("hummer_admission_wait_timeouts_total", "Admission waits that expired into a 503.", s.queueTimeouts.Load())
 	gauge("hummer_admission_waiters", "Requests queued for an admission slot right now.", float64(s.queuedNow.Load()))
-	gauge("hummer_stream_chunk_queue_depth", "Stream row chunks buffered between producers and consumers right now.", float64(plan.StreamQueueDepth()))
 	gauge("hummer_inflight_queries", "Queries executing right now.", float64(s.inflight.Load()))
 	gauge("hummer_uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds())
 
@@ -1336,13 +1324,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Stream backpressure: rows pushed by producers plus a histogram of
-	// producer stalls (chunk channel full — the consumer is the
-	// bottleneck). Compare stall _sum to stream query _sum to see how
-	// much of stream latency is consumer-side.
-	counter("hummer_stream_produced_rows_total", "Rows pushed into stream chunk channels by producers.", plan.StreamProducedRows())
-	histFamily("hummer_stream_consumer_stall_seconds", "Time stream producers spent blocked on a full chunk channel.")
-	writeHistogram(&b, "hummer_stream_consumer_stall_seconds", "", "", plan.StreamStallSnapshot())
+	counter("hummer_stream_produced_rows_total", "Rows yielded by stream cursors.", plan.StreamProducedRows())
 
 	// Go runtime health: cheap reads, scraped alongside everything else
 	// so a latency regression can be correlated with GC or goroutine

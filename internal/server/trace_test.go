@@ -314,7 +314,6 @@ func TestStreamBackpressureMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"hummer_stream_produced_rows_total",
-		"hummer_stream_consumer_stall_seconds_bucket",
 		"hummer_phase_duration_seconds_bucket{phase=\"pipeline\"",
 		"hummer_goroutines",
 		"hummer_heap_alloc_bytes",

@@ -1,7 +1,7 @@
 // Package testutil holds helpers shared by the repo's test suites.
 //
 // The goroutine-leak checker lives here so every package that spawns
-// workers (parshard, plan streams, the HTTP server, qcache leaders)
+// workers (parshard, batch statements, the HTTP server, qcache leaders)
 // asserts the same contract the same way: after a test's pipelines
 // finish — successfully, cancelled, or panicked-and-contained — the
 // goroutine count settles back to where it started.

@@ -179,8 +179,9 @@ func TestQueryOptionConfigsKeyTheFusedTier(t *testing.T) {
 }
 
 // TestQueryRowsCancelMidStreamJoins: cancelling a stream mid-flight
-// surfaces ctx's error and joins every goroutine — the producer and
-// all pipeline workers.
+// surfaces ctx's error and joins every pipeline worker. The statement
+// executes on the draining goroutine, so the cancellation comes from
+// another one.
 func TestQueryRowsCancelMidStreamJoins(t *testing.T) {
 	db := studentDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -197,8 +198,10 @@ func TestQueryRowsCancelMidStreamJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
-	cancel()
+	go func() {
+		<-started
+		cancel()
+	}()
 	for rows.Next() { //nolint:revive // drain to the cancellation
 	}
 	if !errors.Is(rows.Err(), context.Canceled) {
