@@ -30,6 +30,10 @@
 #                  profiles/cpu.pprof.
 #   make profile-cold — CPU-profile the cold FUSE BY path in-process
 #                  (no server, no cache) to profiles/cold.pprof.
+#   make fuzz   — run each Fuzz target for FUZZTIME (default 10s):
+#                  the SQL parser, the three strsim kernels
+#                  (banded Levenshtein, Jaro-Winkler, tokenizer) and the
+#                  qcache fault schedule. Not part of check.
 #   make fmt    — rewrite files with gofmt.
 
 GO ?= go
@@ -52,7 +56,7 @@ COVER_PKGS = ./internal/dumas ./internal/dupdetect ./internal/assign ./internal/
 	./internal/plan ./internal/engine ./internal/server ./internal/obs
 COVER_FLOOR = 70
 
-.PHONY: check fmtcheck fmt vet lint build test race chaos cover bench bench-check bench-agree serve loadtest profile profile-cold
+.PHONY: check fmtcheck fmt vet lint build test race chaos cover bench bench-check bench-agree serve loadtest profile profile-cold fuzz
 
 check: fmtcheck vet lint build test race chaos cover loadtest bench-check
 
@@ -169,6 +173,22 @@ profile:
 profile-cold:
 	@mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'QueryEndToEnd/cold' -benchtime 200x -cpuprofile profiles/cold.pprof .
+
+# Every native fuzz target as package:target. go test -fuzz takes one
+# target per run, so they run in turn, FUZZTIME each.
+FUZZ_TARGETS = ./internal/sql:FuzzParse \
+	./internal/strsim:FuzzLevenshteinSimBounded \
+	./internal/strsim:FuzzScratchJaroWinkler \
+	./internal/strsim:FuzzTokenize \
+	./internal/qcache:FuzzDoContextFaultSchedule
+FUZZTIME ?= 10s
+
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$pkg $$name ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # Production-traffic smoke: the loadgen harness drives its fixed-seed
 # closed-loop mix (and a deliberate overload burst) at an in-process

@@ -503,8 +503,7 @@ func addSourceID(rel *relation.Relation) (*relation.Relation, error) {
 	out := relation.New(rel.Name(), s)
 	alias := value.NewString(rel.Name())
 	for i := 0; i < rel.Len(); i++ {
-		row := append(rel.Row(i).Clone(), alias)
-		if err := out.Append(row); err != nil {
+		if err := out.Append(rel.Row(i).With(alias)); err != nil {
 			return nil, err
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // duplicate-discovery step. Three strategies exist:
 //
 //   - term at a time (the default, scorePostings): each left tuple
-//     walks its sorted terms through posting lists term → (right row,
+//     walks its sorted term ids through posting lists id → (right row,
 //     weight) inverted from the right term vectors, accumulating its
 //     similarity to every right tuple sharing a token. Pairs sharing no
 //     token have TFIDF cosine 0 and can never reach MinTupleSim > 0,
@@ -33,7 +33,7 @@ import (
 // All three score left rows in parshard.RangesContext shards
 // (scoreLeft). The key-based strategies are partner functions: for a
 // left row they list the right rows it is paired with, ascending and
-// each once, and scorePartners runs strsim.DotTermVecs on each pair.
+// each once, and scorePartners runs dot on each pair.
 
 // partnerFunc appends left row l's candidate right rows — ascending,
 // each once — to dst and returns it.
@@ -82,17 +82,31 @@ func scoreLeft(ctx context.Context, workers, nl int, newRow func() func(l int, o
 }
 
 // scorePostings is the default strategy: term-at-a-time scoring of
-// every left row against the inverted index of the right term vectors.
-// Each shard owns an accumulator slot per right row, reset on first
-// touch, so nothing is shared. A left row walks its terms in sorted
-// order, hence acc[r] receives exactly the products DotTermVecs(left,
-// right[r]) sums, in the same order; with the same > 1 clamp every Sim
-// is bit-identical to the merge walk.
-func scorePostings(ctx context.Context, workers int, leftVecs, rightVecs []strsim.TermVec, minSim float64) (scoreShard, error) {
-	index := map[string][]posting{}
-	for r, v := range rightVecs {
-		for k, t := range v.Terms {
-			index[t] = append(index[t], posting{row: r, w: v.Ws[k]})
+// every left row against the inverted index of the right term vectors
+// over nterms term ids. Each shard owns an accumulator slot per right
+// row, reset on first touch, so nothing is shared. A left row walks
+// its terms in sorted order, hence acc[r] receives exactly the
+// products dot(left, right[r]) sums, in the same order; with the same
+// > 1 clamp every Sim is bit-identical to the merge walk.
+func scorePostings(ctx context.Context, workers int, leftVecs, rightVecs []termVec, nterms int, minSim float64) (scoreShard, error) {
+	// Compressed rows: id k's postings are post[start[k]:start[k+1]],
+	// by ascending right row. Counts become end offsets, and filling
+	// rows in reverse moves each offset back to its list's start.
+	start := make([]int32, nterms+1)
+	for _, v := range rightVecs {
+		for _, id := range v.ids {
+			start[id]++
+		}
+	}
+	for k := 1; k <= nterms; k++ {
+		start[k] += start[k-1]
+	}
+	post := make([]posting, start[nterms])
+	for r := len(rightVecs) - 1; r >= 0; r-- {
+		v := rightVecs[r]
+		for k, id := range v.ids {
+			start[id]--
+			post[start[id]] = posting{row: r, w: v.ws[k]}
 		}
 	}
 	return scoreLeft(ctx, workers, len(leftVecs), func() func(int, *scoreShard) {
@@ -102,14 +116,14 @@ func scorePostings(ctx context.Context, workers int, leftVecs, rightVecs []strsi
 		return func(l int, out *scoreShard) {
 			touched = touched[:0]
 			lv := leftVecs[l]
-			for k, t := range lv.Terms {
-				for _, p := range index[t] {
+			for k, id := range lv.ids {
+				for _, p := range post[start[id]:start[id+1]] {
 					if stamp[p.row] != l+1 {
 						stamp[p.row] = l + 1
 						acc[p.row] = 0
 						touched = append(touched, p.row)
 					}
-					acc[p.row] += lv.Ws[k] * p.w
+					acc[p.row] += lv.ws[k] * p.w
 				}
 			}
 			out.stats.CandidatePairs += len(touched)
@@ -129,7 +143,7 @@ func scorePostings(ctx context.Context, workers int, leftVecs, rightVecs []strsi
 
 // scorePartners scores every left row against the right rows its
 // partner function lists, one partner function per shard.
-func scorePartners(ctx context.Context, workers int, leftVecs, rightVecs []strsim.TermVec, minSim float64, newPartners func() partnerFunc) (scoreShard, error) {
+func scorePartners(ctx context.Context, workers int, leftVecs, rightVecs []termVec, minSim float64, newPartners func() partnerFunc) (scoreShard, error) {
 	return scoreLeft(ctx, workers, len(leftVecs), func() func(int, *scoreShard) {
 		partners := newPartners()
 		var buf []int
@@ -137,7 +151,7 @@ func scorePartners(ctx context.Context, workers int, leftVecs, rightVecs []strsi
 			buf = partners(l, buf[:0])
 			out.stats.CandidatePairs += len(buf)
 			for _, r := range buf {
-				if sim := strsim.DotTermVecs(leftVecs[l], rightVecs[r]); sim >= minSim {
+				if sim := dot(leftVecs[l], rightVecs[r]); sim >= minSim {
 					out.stats.Scored++
 					out.pairs = append(out.pairs, TuplePair{LeftRow: l, RightRow: r, Sim: sim})
 				}

@@ -26,14 +26,18 @@
 // # Parallelism and determinism
 //
 // Config.Parallelism sets the number of worker goroutines (0 means
-// GOMAXPROCS, 1 forces sequential). Three phases shard over
-// parshard.RangesContext: the per-tuple precomputation (tokenizing,
-// corpus statistics, TFIDF term vectors), the candidate scoring by
-// left row, and the per-cell averaging of the field-similarity
-// matrix. All similarity math runs over sorted term vectors with
-// deterministic float accumulation, so the Result — correspondences, duplicates,
-// matrix, statistics — is byte-identical at every worker count:
-// parallelism is purely a wall-clock knob.
+// GOMAXPROCS, 1 forces sequential). Each cell is tokenised once per
+// match, in one sequential pass that also interns the tokens of both
+// relations into term ids (terms.go). The ids are renumbered into the
+// terms' sorted string order, so sorting ids sorts terms and every
+// float sum runs in the order the string-keyed term vectors of package
+// strsim would give. Three phases shard over parshard.RangesContext:
+// the tuple term vectors, the candidate scoring by left row, and the
+// per-cell averaging of the field-similarity matrix. All similarity
+// math runs over sorted term vectors with deterministic float
+// accumulation, so the Result — correspondences, duplicates, matrix,
+// statistics — is byte-identical at every worker count: parallelism is
+// purely a wall-clock knob.
 package dumas
 
 import (
@@ -167,7 +171,11 @@ func MatchContext(ctx context.Context, left, right *relation.Relation, cfg Confi
 		return nil, fmt.Errorf("dumas: relation %q or %q is empty; instance-based matching needs rows",
 			left.Name(), right.Name())
 	}
-	dups, stats, err := findDuplicates(ctx, left, right, cfg)
+	p, err := prepare(ctx, left, right, cfg)
+	if err != nil {
+		return nil, err
+	}
+	dups, stats, err := p.discover(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +185,7 @@ func MatchContext(ctx context.Context, left, right *relation.Relation, cfg Confi
 	_, msp := obs.StartSpan(ctx, "match.matrix")
 	defer msp.End()
 	msp.SetInt("pairs", len(dups))
-	matrix, err := averagedFieldMatrix(ctx, left, right, dups, parshard.Workers(cfg.Parallelism))
+	matrix, err := p.averagedFieldMatrix(ctx, dups)
 	if err != nil {
 		return nil, err
 	}
@@ -239,10 +247,19 @@ func (s *scoreShard) merge(o scoreShard) {
 	s.pairs = append(s.pairs, o.pairs...)
 }
 
-// findDuplicates is the full discovery step: sharded per-tuple
-// precomputation, left-row-sharded candidate scoring (term at a time
-// by default, a key-based partner function otherwise), and the
-// deterministic ranked 1:1 top-k selection: the top MaxDuplicates
+// findDuplicates is the whole discovery step for one pair of
+// relations: prepare, then discover.
+func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Config) ([]TuplePair, Stats, error) {
+	p, err := prepare(ctx, left, right, cfg)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return p.discover(ctx, cfg)
+}
+
+// discover scores candidate tuple pairs by left-row shards (term at a
+// time by default, a key-based partner function otherwise) and makes
+// the deterministic ranked 1:1 top-k selection: the top MaxDuplicates
 // pairs at or above MinTupleSim.
 //
 // Each left and right tuple participates in at most one returned pair:
@@ -251,117 +268,45 @@ func (s *scoreShard) merge(o scoreShard) {
 //
 // cfg must have passed validation; MaxDuplicates and MinTupleSim are
 // honored exactly as given (no defaults are filled in, so MinTupleSim
-// = 0 keeps every candidate). ctx is polled between row shards and
-// during scoring; on cancellation the partial state is discarded and
-// ctx's error returned.
-func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Config) ([]TuplePair, Stats, error) {
-	nl, nr := left.Len(), right.Len()
-	workers := parshard.Workers(cfg.Parallelism)
-	preWorkers := workers
-	if nl+nr < precomputeMinRows {
-		preWorkers = 1
-	}
-
-	// Precompute, row-sharded: render and tokenize every tuple once
-	// and build the shared corpus from per-shard corpora folded in
-	// shard order (the counts merge commutatively, so the corpus is
-	// byte-identical to a sequential build). The rendered texts are
-	// kept so the key-based candidate strategies don't re-render them.
-	_, csp := obs.StartSpan(ctx, "match.corpus")
-	defer csp.End()
-	csp.SetInt("rows", nl+nr)
-	csp.SetInt("workers", preWorkers)
-	leftTexts := make([]string, nl)
-	rightTexts := make([]string, nr)
-	leftTokens := make([][]string, nl)
-	rightTokens := make([][]string, nr)
-	tokenizeSide := func(rel *relation.Relation, texts []string, tokens [][]string) ([]*strsim.Corpus, error) {
-		shards := make([]*strsim.Corpus, preWorkers)
-		err := parshard.RangesContext(ctx, preWorkers, rel.Len(), func(s, lo, hi int) {
-			c := strsim.NewCorpus()
-			shards[s] = c
-			for i := lo; i < hi; i++ {
-				if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
-					return
-				}
-				texts[i] = tupleText(rel.Row(i))
-				tokens[i] = strsim.Tokenize(texts[i])
-				c.AddDoc(tokens[i])
-			}
-		})
-		return shards, err
-	}
-	leftShards, err := tokenizeSide(left, leftTexts, leftTokens)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	rightShards, err := tokenizeSide(right, rightTexts, rightTokens)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	corpus := strsim.NewCorpus()
-	for _, c := range append(leftShards, rightShards...) {
-		if c != nil {
-			corpus.Merge(c)
-		}
-	}
-
-	// TFIDF term vectors per tuple, row-sharded over the now read-only
-	// corpus. Sorted term vectors make every later dot product
-	// allocation-free and deterministic in float accumulation order.
-	leftVecs := make([]strsim.TermVec, nl)
-	rightVecs := make([]strsim.TermVec, nr)
-	vecSide := func(n int, tokens [][]string, vecs []strsim.TermVec) error {
-		return parshard.RangesContext(ctx, preWorkers, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
-					return
-				}
-				vecs[i] = corpus.TermVec(tokens[i])
-			}
-		})
-	}
-	if err := vecSide(nl, leftTokens, leftVecs); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := vecSide(nr, rightTokens, rightVecs); err != nil {
-		return nil, Stats{}, err
-	}
-	csp.End()
-
+// = 0 keeps every candidate). ctx is polled during scoring; on
+// cancellation the partial state is discarded and ctx's error
+// returned.
+func (p *prepared) discover(ctx context.Context, cfg Config) ([]TuplePair, Stats, error) {
+	nl, nr := p.left.rel.Len(), p.right.rel.Len()
 	_, ssp := obs.StartSpan(ctx, "match.score")
 	defer ssp.End()
 	minSim := cfg.MinTupleSim
 	var out scoreShard
 	var scoreWorkers int
+	var err error
 	if cfg.Window == 0 && cfg.QGrams == 0 {
-		scoreWorkers = min(preWorkers, nl)
-		out, err = scorePostings(ctx, scoreWorkers, leftVecs, rightVecs, minSim)
+		scoreWorkers = min(p.preWorkers, nl)
+		out, err = scorePostings(ctx, scoreWorkers, p.left.vecs, p.right.vecs, len(p.terms), minSim)
 	} else {
-		// Sort keys from the already-rendered tuple texts. The
-		// cancellation error is deliberately dropped: the scoring run
-		// below re-checks ctx on entry, so a cancel here still aborts
+		// Sort keys rendered from the tuple texts. The cancellation
+		// error is deliberately dropped: the scoring run below
+		// re-checks ctx on entry, so a cancel here still aborts
 		// promptly — the poll only keeps this pass from running to
 		// completion first.
-		keysOf := func(texts []string) []string {
-			keys := make([]string, len(texts))
-			_ = parshard.RangesContext(ctx, preWorkers, len(texts), func(_, lo, hi int) {
+		keysOf := func(rel *relation.Relation) []string {
+			keys := make([]string, rel.Len())
+			_ = parshard.RangesContext(ctx, p.preWorkers, len(keys), func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
 						return
 					}
-					keys[i] = sortKey(texts[i])
+					keys[i] = sortKey(tupleText(rel.Row(i)))
 				}
 			})
 			return keys
 		}
-		newPartners := candidates(cfg, keysOf(leftTexts), keysOf(rightTexts))
+		newPartners := candidates(cfg, keysOf(p.left.rel), keysOf(p.right.rel))
 		// Tiny inputs stay on one worker; more would only add overhead.
-		scoreWorkers = min(workers, nl)
+		scoreWorkers = min(p.workers, nl)
 		if nl*nr <= pairChunk {
 			scoreWorkers = 1
 		}
-		out, err = scorePartners(ctx, scoreWorkers, leftVecs, rightVecs, minSim, newPartners)
+		out, err = scorePartners(ctx, scoreWorkers, p.left.vecs, p.right.vecs, minSim, newPartners)
 	}
 	if err != nil {
 		return nil, Stats{}, err
@@ -401,54 +346,17 @@ func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Con
 }
 
 // averagedFieldMatrix compares each duplicate pair field-wise with
-// SoftTFIDF and averages the matrices, as in DUMAS. The corpus for
-// SoftTFIDF's IDF weights is built (row-sharded) from the two
-// relations' cell values; the nl×nr cells of the averaged matrix are
-// then computed across the worker pool, each worker owning a
-// strsim.Scratch for the inner Jaro-Winkler comparisons. Each cell
-// accumulates its duplicate-pair sum in pair order, so the matrix is
-// byte-identical at every worker count.
-func averagedFieldMatrix(ctx context.Context, left, right *relation.Relation, dups []TuplePair, workers int) ([][]float64, error) {
-	nl, nr := left.Schema().Len(), right.Schema().Len()
-
-	// Column corpora: token statistics over all cell values, so that
-	// IDF reflects how identifying a token is within the data.
-	preWorkers := workers
-	if left.Len()+right.Len() < precomputeMinRows {
-		preWorkers = 1
-	}
-	corpusOf := func(rel *relation.Relation) ([]*strsim.Corpus, error) {
-		shards := make([]*strsim.Corpus, preWorkers)
-		err := parshard.RangesContext(ctx, preWorkers, rel.Len(), func(s, lo, hi int) {
-			c := strsim.NewCorpus()
-			shards[s] = c
-			for i := lo; i < hi; i++ {
-				if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
-					return
-				}
-				for _, v := range rel.Row(i) {
-					if !v.IsNull() {
-						c.AddText(v.Text())
-					}
-				}
-			}
-		})
-		return shards, err
-	}
-	leftShards, err := corpusOf(left)
-	if err != nil {
-		return nil, err
-	}
-	rightShards, err := corpusOf(right)
-	if err != nil {
-		return nil, err
-	}
-	colCorpus := strsim.NewCorpus()
-	for _, c := range append(leftShards, rightShards...) {
-		if c != nil {
-			colCorpus.Merge(c)
-		}
-	}
+// SoftTFIDF and averages the matrices, as in DUMAS. SoftTFIDF's IDF
+// weights come from the column corpus, one document per non-NULL cell
+// of the two relations, so that IDF reflects how identifying a token
+// is within the data. The nl×nr cells of the averaged matrix are
+// computed across the worker pool, each worker owning a strsim.Scratch
+// for the inner Jaro-Winkler comparisons. Each cell accumulates its
+// duplicate-pair sum in pair order, so the matrix is byte-identical at
+// every worker count.
+func (p *prepared) averagedFieldMatrix(ctx context.Context, dups []TuplePair) ([][]float64, error) {
+	left, right := p.left.rel, p.right.rel
+	nl, nr := p.left.width, p.right.width
 
 	// Term vectors of every cell participating in a duplicate pair
 	// (at most MaxDuplicates rows per side — cheap, and it keeps the
@@ -460,12 +368,12 @@ func averagedFieldMatrix(ctx context.Context, left, right *relation.Relation, du
 		rtv[d] = make([]strsim.TermVec, nr)
 		for i, v := range left.Row(dp.LeftRow) {
 			if !v.IsNull() {
-				ltv[d][i] = colCorpus.TermVec(strsim.Tokenize(v.Text()))
+				ltv[d][i] = p.cellVec(&p.left, dp.LeftRow*nl+i)
 			}
 		}
 		for j, v := range right.Row(dp.RightRow) {
 			if !v.IsNull() {
-				rtv[d][j] = colCorpus.TermVec(strsim.Tokenize(v.Text()))
+				rtv[d][j] = p.cellVec(&p.right, dp.RightRow*nr+j)
 			}
 		}
 	}
@@ -477,7 +385,7 @@ func averagedFieldMatrix(ctx context.Context, left, right *relation.Relation, du
 	// One matrix cell per work item: cells are independent, and the
 	// per-cell sum runs over dups in pair order regardless of which
 	// worker owns the cell.
-	err = parshard.RangesContext(ctx, workers, nl*nr, func(_, lo, hi int) {
+	err := parshard.RangesContext(ctx, p.workers, nl*nr, func(_, lo, hi int) {
 		var sc strsim.Scratch
 		for cell := lo; cell < hi; cell++ {
 			if cell%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
@@ -493,7 +401,7 @@ func averagedFieldMatrix(ctx context.Context, left, right *relation.Relation, du
 				if lv.IsNull() || rv.IsNull() {
 					continue
 				}
-				sum += fieldSim(colCorpus, &sc, lv, rv, ltv[d][i], rtv[d][j])
+				sum += fieldSim(&sc, lv, rv, ltv[d][i], rtv[d][j])
 				cnt++
 			}
 			if cnt > 0 {
@@ -510,13 +418,13 @@ func averagedFieldMatrix(ctx context.Context, left, right *relation.Relation, du
 // fieldSim compares two non-null field values: numerics by relative
 // distance, everything else by SoftTFIDF over the values' prebuilt
 // term vectors.
-func fieldSim(c *strsim.Corpus, sc *strsim.Scratch, a, b value.Value, va, vb strsim.TermVec) float64 {
+func fieldSim(sc *strsim.Scratch, a, b value.Value, va, vb strsim.TermVec) float64 {
 	if af, ok := a.AsFloat(); ok {
 		if bf, ok := b.AsFloat(); ok {
 			return strsim.NumericSim(af, bf)
 		}
 	}
-	return c.SoftTFIDFTermVecs(sc, va, vb)
+	return strsim.SoftTFIDFTermVecs(sc, va, vb)
 }
 
 // NaiveMatch is the D1 ablation baseline: match columns directly by
@@ -531,7 +439,7 @@ func NaiveMatch(left, right *relation.Relation, threshold float64) *Result {
 		for i := 0; i < rel.Len(); i++ {
 			v := rel.Row(i)[col]
 			if !v.IsNull() {
-				tokens = append(tokens, strsim.Tokenize(v.Text())...)
+				tokens = strsim.AppendTokens(tokens, v.Text())
 			}
 		}
 		return tokens

@@ -274,8 +274,7 @@ func AppendObjectID(rel *relation.Relation, res *Result) (*relation.Relation, er
 	}
 	out := relation.New(rel.Name(), s)
 	for i := 0; i < rel.Len(); i++ {
-		row := append(rel.Row(i).Clone(), value.NewInt(int64(res.ObjectIDs[i])))
-		if err := out.Append(row); err != nil {
+		if err := out.Append(rel.Row(i).With(value.NewInt(int64(res.ObjectIDs[i])))); err != nil {
 			return nil, err
 		}
 	}

@@ -19,6 +19,9 @@ type Row []value.Value
 // Clone returns a copy of the row.
 func (r Row) Clone() Row { return append(Row(nil), r...) }
 
+// With returns a copy of the row with v appended, in one allocation.
+func (r Row) With(v value.Value) Row { return append(append(make(Row, 0, len(r)+1), r...), v) }
+
 // Equal reports whether two rows are value-wise equal.
 func (r Row) Equal(o Row) bool {
 	if len(r) != len(o) {

@@ -93,6 +93,21 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+func TestRowWith(t *testing.T) {
+	r := Row{value.NewString("Alice"), value.NewInt(30)}
+	w := r.With(value.NewString("s1"))
+	if !w.Equal(Row{value.NewString("Alice"), value.NewInt(30), value.NewString("s1")}) {
+		t.Fatalf("With = %v", w)
+	}
+	w[0] = value.NewString("Mallory")
+	if r[0].Text() != "Alice" {
+		t.Error("With must not share row storage")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = r.With(value.Null) }); allocs != 1 {
+		t.Errorf("With allocates %v times, want 1", allocs)
+	}
+}
+
 func TestWithSchema(t *testing.T) {
 	r := sample()
 	s2 := schema.FromNames("FullName", "Years")

@@ -165,9 +165,8 @@ func growBools(buf *[]bool, n int) []bool {
 	return *buf
 }
 
-// Jaro is the allocation-free equivalent of the package-level Jaro:
-// the same algorithm over reused rune and match buffers, producing
-// bit-identical results.
+// Jaro returns the Jaro similarity of a and b, computed over reused
+// rune and match buffers.
 func (s *Scratch) Jaro(a, b string) float64 {
 	ra := AppendRunes(s.ra[:0], a)
 	rb := AppendRunes(s.rb[:0], b)
@@ -229,8 +228,8 @@ func (s *Scratch) Jaro(a, b string) float64 {
 	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-t)/m) / 3
 }
 
-// JaroWinkler is the allocation-free equivalent of the package-level
-// JaroWinkler, bit-identical to it.
+// JaroWinkler boosts the Jaro similarity of strings sharing a prefix,
+// with the standard scaling factor p=0.1 and max prefix 4.
 func (s *Scratch) JaroWinkler(a, b string) float64 {
 	j := s.Jaro(a, b)
 	prefix := 0

@@ -1,8 +1,9 @@
 // Package strsim implements the string similarity measures HumMer's
 // matching components rely on: Levenshtein edit distance, Jaro and
-// Jaro-Winkler, token-based TFIDF cosine similarity with corpus
-// statistics, and the hybrid SoftTFIDF measure of Cohen, Ravikumar and
-// Fienberg (IIWeb 2003) used by DUMAS for field-wise comparison.
+// Jaro-Winkler (on a reusable Scratch), token-based TFIDF cosine
+// similarity with corpus statistics, and the hybrid SoftTFIDF measure
+// of Cohen, Ravikumar and Fienberg (IIWeb 2003) used by DUMAS for
+// field-wise comparison.
 //
 // All similarities are normalized to [0,1], 1 meaning identical.
 package strsim
@@ -12,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Levenshtein returns the edit distance between a and b (unit costs,
@@ -67,98 +69,54 @@ func LevenshteinSim(a, b string) float64 {
 	return 1 - float64(Levenshtein(a, b))/float64(m)
 }
 
-// Jaro returns the Jaro similarity of a and b.
-func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	window := len(ra)
-	if len(rb) > window {
-		window = len(rb)
-	}
-	window = window/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	matchA := make([]bool, len(ra))
-	matchB := make([]bool, len(rb))
-	matches := 0
-	for i, c := range ra {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window + 1
-		if hi > len(rb) {
-			hi = len(rb)
-		}
-		for j := lo; j < hi; j++ {
-			if !matchB[j] && rb[j] == c {
-				matchA[i] = true
-				matchB[j] = true
-				matches++
-				break
-			}
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	transpositions := 0
-	j := 0
-	for i := range ra {
-		if !matchA[i] {
-			continue
-		}
-		for !matchB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			transpositions++
-		}
-		j++
-	}
-	m := float64(matches)
-	t := float64(transpositions) / 2
-	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-t)/m) / 3
-}
-
-// JaroWinkler boosts Jaro similarity for strings sharing a prefix, with
-// the standard scaling factor p=0.1 and max prefix 4.
-func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
-	prefix := 0
-	ra, rb := []rune(a), []rune(b)
-	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
-		prefix++
-	}
-	return j + float64(prefix)*0.1*(1-j)
-}
-
 // Tokenize splits s into lower-cased tokens at any non-alphanumeric
-// boundary. It is the shared tokenizer for all token-based measures.
-func Tokenize(s string) []string {
-	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
+// boundary. It is the shared tokenizer for all token-based measures;
+// Tokenize(s) is AppendTokens(nil, s).
+func Tokenize(s string) []string { return AppendTokens(nil, s) }
+
+// AppendTokens appends the tokens of s to dst and returns it: each
+// maximal run of letters and digits, lower-cased. A run that is already
+// lower case is appended as a substring of s, so it costs no
+// allocation; only a run holding a rune that lower-casing changes is
+// copied. A run never holds an invalid byte (it decodes to U+FFFD,
+// which is no letter), so its bytes are exactly its runes' encodings.
+func AppendTokens(dst []string, s string) []string {
+	start, upper := -1, false
+	for i, r := range s {
+		var tok, up bool
+		if r < utf8.RuneSelf {
+			up = 'A' <= r && r <= 'Z'
+			tok = up || 'a' <= r && r <= 'z' || '0' <= r && r <= '9'
+		} else if tok = unicode.IsLetter(r) || unicode.IsDigit(r); tok {
+			up = unicode.ToLower(r) != r
+		}
+		switch {
+		case tok && start < 0:
+			start, upper = i, up
+		case tok:
+			upper = upper || up
+		case start >= 0:
+			dst = appendToken(dst, s[start:i], upper)
+			start = -1
 		}
 	}
-	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+	if start >= 0 {
+		dst = appendToken(dst, s[start:], upper)
+	}
+	return dst
+}
+
+// appendToken appends one letter/digit run, lower-cased when upper.
+func appendToken(dst []string, run string, upper bool) []string {
+	if upper {
+		var b strings.Builder
+		b.Grow(len(run))
+		for _, r := range run {
 			b.WriteRune(unicode.ToLower(r))
-		} else {
-			flush()
 		}
+		run = b.String()
 	}
-	flush()
-	return tokens
+	return append(dst, run)
 }
 
 // QGrams returns the padded q-grams of s (lower-cased), q >= 1.
@@ -178,29 +136,6 @@ func QGrams(s string, q int) []string {
 		grams = append(grams, string(padded[i:i+q]))
 	}
 	return grams
-}
-
-// QGramSim is the Dice coefficient over q-gram multisets.
-func QGramSim(a, b string, q int) float64 {
-	ga, gb := QGrams(a, q), QGrams(b, q)
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	count := map[string]int{}
-	for _, g := range ga {
-		count[g]++
-	}
-	common := 0
-	for _, g := range gb {
-		if count[g] > 0 {
-			count[g]--
-			common++
-		}
-	}
-	return 2 * float64(common) / float64(len(ga)+len(gb))
 }
 
 // NumericSim compares two numbers: 1 when equal, decaying with the
@@ -265,9 +200,6 @@ func (c *Corpus) Merge(o *Corpus) {
 		c.df[t] += n
 	}
 }
-
-// Docs returns the number of documents added.
-func (c *Corpus) Docs() int { return c.docs }
 
 // IDF returns the smoothed inverse document frequency of token t:
 // log(1 + N/df). Unknown tokens receive the maximum weight
@@ -340,58 +272,6 @@ func Cosine(a, b Vector) float64 {
 // corpus c.
 func (c *Corpus) TFIDF(a, b string) float64 {
 	return Cosine(c.TFIDFVector(Tokenize(a)), c.TFIDFVector(Tokenize(b)))
-}
-
-// --- SoftTFIDF ----------------------------------------------------------
-
-// SoftTFIDFThreshold is the inner-similarity threshold θ of Cohen et
-// al.: tokens with JaroWinkler ≥ θ are considered soft matches.
-const SoftTFIDFThreshold = 0.9
-
-// SoftTFIDF computes the hybrid SoftTFIDF similarity of a and b:
-// TFIDF cosine where tokens of a may match CLOSE(θ) tokens of b under
-// Jaro-Winkler, each contribution scaled by the inner similarity.
-func (c *Corpus) SoftTFIDF(a, b string) float64 {
-	return c.SoftTFIDFTokens(Tokenize(a), Tokenize(b))
-}
-
-// SoftTFIDFTokens is SoftTFIDF over pre-tokenized inputs.
-func (c *Corpus) SoftTFIDFTokens(ta, tb []string) float64 {
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	va := c.TFIDFVector(ta)
-	vb := c.TFIDFVector(tb)
-	var sim float64
-	for t, wa := range va {
-		// Find the closest token in b.
-		best, bestSim := "", 0.0
-		for u := range vb {
-			s := innerSim(t, u)
-			if s > bestSim {
-				best, bestSim = u, s
-			}
-		}
-		if bestSim >= SoftTFIDFThreshold {
-			sim += wa * vb[best] * bestSim
-		}
-	}
-	if sim > 1 {
-		sim = 1
-	}
-	return sim
-}
-
-// innerSim is the secondary measure of SoftTFIDF: exact matches score
-// 1 directly (fast path), otherwise Jaro-Winkler.
-func innerSim(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	return JaroWinkler(a, b)
 }
 
 // --- Deterministic sparse term vectors ----------------------------------
@@ -475,15 +355,19 @@ func DotTermVecs(a, b TermVec) float64 {
 	return dot
 }
 
+// SoftTFIDFThreshold is the inner-similarity threshold θ of Cohen et
+// al.: tokens with JaroWinkler ≥ θ are considered soft matches.
+const SoftTFIDFThreshold = 0.9
+
 // SoftTFIDFTermVecs computes the SoftTFIDF similarity over prebuilt
 // term vectors: for each term of va (in sorted order) the closest term
 // of vb under the inner measure contributes wa·wb·sim when the inner
 // similarity reaches SoftTFIDFThreshold. sc provides the reusable
 // buffers for the inner Jaro-Winkler comparisons, so the inner loop
-// performs no allocation. Semantics match SoftTFIDFTokens; among
-// equally-close tokens the lexicographically first wins, making the
-// result deterministic.
-func (c *Corpus) SoftTFIDFTermVecs(sc *Scratch, va, vb TermVec) float64 {
+// performs no allocation. Among equally-close tokens the
+// lexicographically first wins, making the result deterministic. The
+// corpus statistics are already in the vectors' weights.
+func SoftTFIDFTermVecs(sc *Scratch, va, vb TermVec) float64 {
 	if va.Len() == 0 && vb.Len() == 0 {
 		return 1
 	}

@@ -36,15 +36,6 @@ func BenchmarkLevenshtein(b *testing.B) {
 	}
 }
 
-func BenchmarkJaroWinkler(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x, y := randomWord(rng, 12), randomWord(rng, 12)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		JaroWinkler(x, y)
-	}
-}
-
 func BenchmarkTFIDF(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	c := NewCorpus()
@@ -57,21 +48,6 @@ func BenchmarkTFIDF(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.TFIDF(texts[i%len(texts)], texts[(i+1)%len(texts)])
-	}
-}
-
-func BenchmarkSoftTFIDF(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	c := NewCorpus()
-	texts := make([]string, 200)
-	for i := range texts {
-		texts[i] = randomText(rng, 6, 7)
-		c.AddText(texts[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.SoftTFIDF(texts[i%len(texts)], texts[(i+1)%len(texts)])
 	}
 }
 

@@ -75,8 +75,9 @@ func TestJaroKnownValues(t *testing.T) {
 		{"a", "", 0},
 		{"abc", "xyz", 0},
 	}
+	var sc Scratch
 	for _, c := range cases {
-		if got := Jaro(c.a, c.b); math.Abs(got-c.want) > 1e-6 {
+		if got := sc.Jaro(c.a, c.b); math.Abs(got-c.want) > 1e-6 {
 			t.Errorf("Jaro(%q,%q) = %.9f, want %.9f", c.a, c.b, got, c.want)
 		}
 	}
@@ -91,17 +92,19 @@ func TestJaroWinklerKnownValues(t *testing.T) {
 		{"DWAYNE", "DUANE", 0.84},
 		{"abc", "abc", 1},
 	}
+	var sc Scratch
 	for _, c := range cases {
-		if got := JaroWinkler(c.a, c.b); math.Abs(got-c.want) > 1e-6 {
+		if got := sc.JaroWinkler(c.a, c.b); math.Abs(got-c.want) > 1e-6 {
 			t.Errorf("JaroWinkler(%q,%q) = %.9f, want %.9f", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestSimilaritiesBounded(t *testing.T) {
+	var sc Scratch
 	err := quick.Check(func(a, b string) bool {
 		for _, s := range []float64{
-			LevenshteinSim(a, b), Jaro(a, b), JaroWinkler(a, b), QGramSim(a, b, 3),
+			LevenshteinSim(a, b), sc.Jaro(a, b), sc.JaroWinkler(a, b),
 		} {
 			if s < 0 || s > 1 || math.IsNaN(s) {
 				return false
@@ -147,18 +150,6 @@ func TestQGrams(t *testing.T) {
 	}
 }
 
-func TestQGramSim(t *testing.T) {
-	if !approx(QGramSim("abc", "abc", 2), 1) {
-		t.Error("identical strings must score 1")
-	}
-	if QGramSim("abc", "xyz", 2) != 0 {
-		t.Error("disjoint strings must score 0")
-	}
-	if s := QGramSim("nicholas", "nicolas", 2); s < 0.7 {
-		t.Errorf("near-duplicate q-gram sim = %g, want > 0.7", s)
-	}
-}
-
 func TestNumericSim(t *testing.T) {
 	if !approx(NumericSim(5, 5), 1) || !approx(NumericSim(0, 0), 1) {
 		t.Error("equal numbers must score 1")
@@ -179,8 +170,8 @@ func TestCorpusIDF(t *testing.T) {
 	c.AddText("john smith")
 	c.AddText("john doe")
 	c.AddText("jane roe")
-	if c.Docs() != 3 {
-		t.Fatalf("Docs = %d", c.Docs())
+	if c.docs != 3 {
+		t.Fatalf("docs = %d", c.docs)
 	}
 	if c.IDF("john") >= c.IDF("smith") {
 		t.Error("frequent token must have lower IDF than rare token")
@@ -234,12 +225,18 @@ func TestTFIDFWeighsRareTokensHigher(t *testing.T) {
 	}
 }
 
+// softTFIDF is SoftTFIDF of two texts under corpus c.
+func softTFIDF(c *Corpus, a, b string) float64 {
+	var sc Scratch
+	return SoftTFIDFTermVecs(&sc, c.TermVec(Tokenize(a)), c.TermVec(Tokenize(b)))
+}
+
 func TestSoftTFIDFMatchesTypos(t *testing.T) {
 	c := NewCorpus()
 	c.AddText("jonathan smith berlin")
 	c.AddText("nathalie meyer tokyo")
 	hard := c.TFIDF("jonathan smith", "jonathon smith")
-	soft := c.SoftTFIDF("jonathan smith", "jonathon smith")
+	soft := softTFIDF(c, "jonathan smith", "jonathon smith")
 	if soft <= hard {
 		t.Errorf("SoftTFIDF (%g) must beat TFIDF (%g) on typo'd token", soft, hard)
 	}
@@ -251,10 +248,10 @@ func TestSoftTFIDFMatchesTypos(t *testing.T) {
 func TestSoftTFIDFEdgeCases(t *testing.T) {
 	c := NewCorpus()
 	c.AddText("a b")
-	if s := c.SoftTFIDF("", ""); s != 1 {
+	if s := softTFIDF(c, "", ""); s != 1 {
 		t.Errorf("both empty = %g, want 1", s)
 	}
-	if s := c.SoftTFIDF("a", ""); s != 0 {
+	if s := softTFIDF(c, "a", ""); s != 0 {
 		t.Errorf("one empty = %g, want 0", s)
 	}
 }
@@ -267,7 +264,7 @@ func TestSoftTFIDFBounded(t *testing.T) {
 	}
 	for _, a := range texts {
 		for _, b := range texts {
-			s := c.SoftTFIDF(a, b)
+			s := softTFIDF(c, a, b)
 			if s < 0 || s > 1 || math.IsNaN(s) {
 				t.Errorf("SoftTFIDF(%q,%q) = %g out of bounds", a, b, s)
 			}

@@ -49,8 +49,8 @@ func TestCorpusMergeEquivalence(t *testing.T) {
 		}
 		merged.Merge(shard)
 	}
-	if seq.Docs() != merged.Docs() {
-		t.Fatalf("docs: %d vs %d", seq.Docs(), merged.Docs())
+	if seq.docs != merged.docs {
+		t.Fatalf("docs: %d vs %d", seq.docs, merged.docs)
 	}
 	for _, d := range docs {
 		for _, tok := range d {
@@ -115,8 +115,38 @@ func TestDotTermVecsMatchesCosine(t *testing.T) {
 	}
 }
 
+// softTFIDFTokens is the map-based SoftTFIDF reference: TFIDF cosine
+// where each token of ta counts against its closest token of tb under
+// Jaro-Winkler, when that inner similarity reaches SoftTFIDFThreshold.
+func softTFIDFTokens(c *Corpus, ta, tb []string) float64 {
+	if len(ta) == 0 && len(tb) == 0 {
+		return 1
+	}
+	if len(ta) == 0 || len(tb) == 0 {
+		return 0
+	}
+	va, vb := c.TFIDFVector(ta), c.TFIDFVector(tb)
+	var sim float64
+	for t, wa := range va {
+		best, bestSim := "", 0.0
+		for u := range vb {
+			s := 1.0
+			if t != u {
+				s = jaroWinkler(t, u)
+			}
+			if s > bestSim {
+				best, bestSim = u, s
+			}
+		}
+		if bestSim >= SoftTFIDFThreshold {
+			sim += wa * vb[best] * bestSim
+		}
+	}
+	return min(sim, 1)
+}
+
 // TestSoftTFIDFTermVecsMatchesTokens: the deterministic term-vector
-// SoftTFIDF must agree with the map-based version (up to
+// SoftTFIDF must agree with the map-based reference (up to
 // accumulation-order rounding and tie choice among equal weights).
 func TestSoftTFIDFTermVecsMatchesTokens(t *testing.T) {
 	c := NewCorpus()
@@ -135,8 +165,8 @@ func TestSoftTFIDFTermVecsMatchesTokens(t *testing.T) {
 	var sc Scratch
 	for _, p := range pairs {
 		ta, tb := Tokenize(p[0]), Tokenize(p[1])
-		want := c.SoftTFIDFTokens(ta, tb)
-		got := c.SoftTFIDFTermVecs(&sc, c.TermVec(ta), c.TermVec(tb))
+		want := softTFIDFTokens(c, ta, tb)
+		got := SoftTFIDFTermVecs(&sc, c.TermVec(ta), c.TermVec(tb))
 		if math.Abs(want-got) > 1e-9 {
 			t.Errorf("SoftTFIDF(%q, %q) = %v via term vecs, %v via tokens", p[0], p[1], got, want)
 		}
@@ -144,7 +174,7 @@ func TestSoftTFIDFTermVecsMatchesTokens(t *testing.T) {
 }
 
 // TestScratchJaroWinklerIdentical: the scratch-based Jaro-Winkler must
-// be bit-identical to the allocating version, including the early-exit
+// be bit-identical to the allocating reference, including the early-exit
 // cases (empty strings, zero matches) and repeated reuse of the same
 // Scratch.
 func TestScratchJaroWinklerIdentical(t *testing.T) {
@@ -159,10 +189,10 @@ func TestScratchJaroWinklerIdentical(t *testing.T) {
 		cases = append(cases, [2]string{randToken(rng), randToken(rng)})
 	}
 	for _, cse := range cases {
-		if want, got := Jaro(cse[0], cse[1]), sc.Jaro(cse[0], cse[1]); want != got {
+		if want, got := jaro(cse[0], cse[1]), sc.Jaro(cse[0], cse[1]); want != got {
 			t.Fatalf("Jaro(%q, %q): scratch %v, plain %v", cse[0], cse[1], got, want)
 		}
-		if want, got := JaroWinkler(cse[0], cse[1]), sc.JaroWinkler(cse[0], cse[1]); want != got {
+		if want, got := jaroWinkler(cse[0], cse[1]), sc.JaroWinkler(cse[0], cse[1]); want != got {
 			t.Fatalf("JaroWinkler(%q, %q): scratch %v, plain %v", cse[0], cse[1], got, want)
 		}
 	}
