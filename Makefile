@@ -32,8 +32,9 @@
 #                  (no server, no cache) to profiles/cold.pprof.
 #   make fuzz   — run each Fuzz target for FUZZTIME (default 10s):
 #                  the SQL parser, the three strsim kernels
-#                  (banded Levenshtein, Jaro-Winkler, tokenizer) and the
-#                  qcache fault schedule. Not part of check.
+#                  (banded Levenshtein, Jaro-Winkler, tokenizer),
+#                  duplicate detection against its row-level oracle
+#                  and the qcache fault schedule. Not part of check.
 #   make fmt    — rewrite files with gofmt.
 
 GO ?= go
@@ -180,6 +181,7 @@ FUZZ_TARGETS = ./internal/sql:FuzzParse \
 	./internal/strsim:FuzzLevenshteinSimBounded \
 	./internal/strsim:FuzzScratchJaroWinkler \
 	./internal/strsim:FuzzTokenize \
+	./internal/dupdetect:FuzzDetectMatchesOracle \
 	./internal/qcache:FuzzDoContextFaultSchedule
 FUZZTIME ?= 10s
 

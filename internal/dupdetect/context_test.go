@@ -85,11 +85,11 @@ func TestDetectContextCancelAtEveryPoll(t *testing.T) {
 		cfg   Config
 		polls int
 	}{
-		{Config{Parallelism: 1}, 128},
-		{Config{Parallelism: 3}, 128},
-		{Config{Window: 8, Parallelism: 3}, 129},
-		{Config{Blocking: 3, Parallelism: 3}, 133},
-		{Config{QGrams: 3, Parallelism: 3}, 133},
+		{Config{Parallelism: 1}, 114},
+		{Config{Parallelism: 3}, 114},
+		{Config{Window: 8, Parallelism: 3}, 127},
+		{Config{Blocking: 3, Parallelism: 3}, 131},
+		{Config{QGrams: 3, Parallelism: 3}, 131},
 	} {
 		probe := testutil.CancelAtPoll(t, 0)
 		want, err := DetectContext(probe, rel, tc.cfg)
@@ -115,23 +115,30 @@ func TestDetectContextCancelAtEveryPoll(t *testing.T) {
 }
 
 // TestDetectScoreSpan: the detect.score span reports the candidate and
-// compared counts of Stats and the number of scoring workers that
-// actually ran, which drops to 1 when every candidate fits in one
-// chunk and to ⌈n/2⌉ fold shards when Parallelism asks for more.
+// compared counts of Stats, the number of distinct detection tuples and
+// the number of scoring workers that actually ran, which drops to 1
+// when every candidate fits in one chunk and to ⌈t/2⌉ fold shards of
+// the t tuples when Parallelism asks for more.
 func TestDetectScoreSpan(t *testing.T) {
 	large := datagenDirty(42, 60)
 	if n := large.Len(); n*(n-1)/2 <= pairChunkSize {
 		t.Fatalf("%d rows fit in one chunk", n)
 	}
 	odd := headRows(t, large, 47)
+	b := relation.NewBuilder("repeated", "Name", "City")
+	for i := 0; i < 60; i++ {
+		b.AddText(fmt.Sprintf("person %d", i%9), "Berlin")
+	}
+	repeated := b.Build()
 	for _, tc := range []struct {
-		label     string
-		rel       *relation.Relation
-		par, want int
+		label             string
+		rel               *relation.Relation
+		par, want, tuples int
 	}{
-		{"one chunk", dirtyPeople(), 8, 1},
-		{"chunked", large, 3, 3},
-		{"capped at half", odd, 64, 24},
+		{"one chunk", dirtyPeople(), 8, 1, 7},
+		{"chunked", large, 3, 3, 161}, // 180 rows, some observed without a typo or NULL
+		{"capped at half", odd, 64, 24, 47},
+		{"capped at half the tuples", repeated, 8, 5, 9},
 	} {
 		tr := obs.NewTrace("t", "test")
 		res, err := DetectContext(obs.ContextWithTrace(context.Background(), tr), tc.rel, Config{Parallelism: tc.par})
@@ -149,6 +156,7 @@ func TestDetectScoreSpan(t *testing.T) {
 			t.Fatalf("%s: no detect.score span", tc.label)
 		}
 		want := map[string]any{
+			"tuples":     int64(tc.tuples),
 			"workers":    int64(tc.want),
 			"candidates": int64(res.Stats.CandidatePairs),
 			"compared":   int64(res.Stats.Compared),

@@ -40,18 +40,25 @@
 // # Parallelism and determinism
 //
 // Config.Parallelism sets the number of worker goroutines scoring
-// candidate pairs (0 means GOMAXPROCS, 1 forces sequential). Every
-// strategy scores each row's candidate partners once, in the shard that
-// owns the row: row j is folded with row n−1−j and each worker gets a
-// contiguous range of the ⌈n/2⌉ fold indices. Outputs fold back in
-// ascending row order, so the Result — clusters, duplicate and
-// borderline pair order, statistics — is byte-identical across all
-// worker counts: parallelism is purely a wall-clock knob.
+// candidate pairs (0 means GOMAXPROCS, 1 forces sequential). The
+// similarity of two rows depends only on their selected cells, so the
+// exhaustive strategy folds over the t distinct detection tuples:
+// each tuple pair is scored once and stands for all its row pairs.
+// The key-based strategies fold over rows. Every strategy scores each
+// unit's partners once, in the shard that owns the unit: unit j is
+// folded with unit t−1−j and each worker gets a contiguous range of the
+// ⌈t/2⌉ fold indices; ctx is polled once per unit. Outputs fold back
+// in ascending unit order and the row pairs are sorted, so the Result —
+// clusters, duplicate and borderline pair order, statistics — is
+// byte-identical across all worker counts: parallelism is purely a
+// wall-clock knob.
 package dupdetect
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -146,7 +153,8 @@ type Stats struct {
 	// the exhaustive strategy, fewer under Window or Blocking).
 	CandidatePairs int
 	// FilteredOut is how many pairs the upper bound discarded before
-	// the expensive measure ran.
+	// the expensive measure ran. Like Compared, it counts row pairs,
+	// even where one tuple pair's score stood for several.
 	FilteredOut int
 	// Compared is how many pairs ran the full similarity measure.
 	Compared int
@@ -183,11 +191,12 @@ type Result struct {
 }
 
 // DetectContext finds duplicate clusters in rel, honoring ctx: the
-// measure precomputation polls it between row shards, the key-based
-// candidate builds every CancelStride rows and the pair scoring once
-// per row, so a cancelled detection returns promptly with ctx's error,
-// all worker goroutines joined and no partial result. A detection that
-// completes is byte-identical to an uncancelled run.
+// measure precomputation and the key-based candidate builds poll it
+// every CancelStride rows and the pair scoring once per fold unit (a
+// distinct tuple, or a row under Window, Blocking and QGrams), so a
+// cancelled detection returns promptly with ctx's error, all worker
+// goroutines joined and no partial result. A detection that completes
+// is byte-identical to an uncancelled run.
 func DetectContext(ctx context.Context, rel *relation.Relation, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	strategies := 0
@@ -226,18 +235,21 @@ func DetectContext(ctx context.Context, rel *relation.Relation, cfg Config) (*Re
 
 	_, ssp := obs.StartSpan(ctx, "detect.score")
 	defer ssp.End()
-	workers := min(scoreWorkers(cfg.Parallelism, rel.Len()), (rel.Len()+1)/2)
+	units := m.tuples.len()
 	var newPartners func() partnerFunc
 	var skipped, skippedRows int
 	if strategies > 0 {
+		units = rel.Len()
 		newPartners, skipped, skippedRows = candidates(ctx, m, cfg)
 	}
+	workers := min(scoreWorkers(cfg.Parallelism, rel.Len()), (units+1)/2)
 	out, err := scoreRows(ctx, m, cfg, workers, newPartners)
 	if err != nil {
 		return nil, err
 	}
 	out.stats.SkippedBlocks = skipped
 	out.stats.SkippedBlockRows = skippedRows
+	ssp.SetInt("tuples", m.tuples.len())
 	ssp.SetInt("workers", workers)
 	ssp.SetInt("candidates", out.stats.CandidatePairs)
 	ssp.SetInt("compared", out.stats.Compared)
@@ -365,22 +377,26 @@ func ScoreAttributes(rel *relation.Relation) []attrScore {
 
 // --- The similarity measure ----------------------------------------------
 
-// measure holds the precomputed per-cell state for pairwise
-// comparison. Everything derivable from a single cell — normalized
-// text, its rune form, rune-presence mask, sorted rune counts, numeric
-// image, identifying power — is computed exactly once here, so the
+// measure holds the precomputed comparison state of each distinct
+// detection tuple: the NULL-ness, lower-cased text and numeric image
+// of a row's selected cells, all that its scores depend on. Everything
+// derivable from a cell — rune form, rune-presence mask, sorted rune
+// counts, identifying power — is computed once per tuple here, so the
 // per-pair hot path performs no text normalization and no allocation.
 type measure struct {
-	rel  *relation.Relation
 	cols []int
 	cfg  Config
 	// texts[i][k] is the lowercased text of row i, selected attr k —
-	// the shared normalized-text cache (value.Text + ToLower run once
-	// per cell, not once per pair).
+	// the shared normalized-text cache. Rows of one tuple share one
+	// slice.
 	texts [][]string
-	// cells[i*len(cols)+k] is the comparison state of row i, selected
-	// attr k, in one flat row-major array: a pair walks two contiguous
-	// runs of len(cols) cells (see row).
+	// tupleOf[i] is row i's tuple; tuples are numbered by first row.
+	tupleOf []int
+	// tuples lists each tuple's rows: the exhaustive fold's units.
+	tuples foldUnits
+	// cells[u*len(cols)+k] is the comparison state of tuple u, selected
+	// attr k, in one flat tuple-major array: a pair walks two
+	// contiguous runs of len(cols) cells (see row).
 	cells []cell
 	// ranges[k] is the numeric value spread (max-min) of attribute k,
 	// used to normalize numeric distance: two years 30 apart are very
@@ -410,10 +426,10 @@ type cell struct {
 	null   bool
 }
 
-// row returns the cells of row i, one per selected attribute.
+// row returns the cells of row i's tuple, one per selected attribute.
 func (m *measure) row(i int) []cell {
-	k := len(m.cols)
-	return m.cells[i*k : (i+1)*k : (i+1)*k]
+	k, u := len(m.cols), m.tupleOf[i]
+	return m.cells[u*k : (u+1)*k : (u+1)*k]
 }
 
 // runeCount is one entry of a sorted rune histogram.
@@ -430,16 +446,14 @@ type runeCounts []runeCount
 // must actually compare to earn full confidence.
 const evidenceFraction = 0.3
 
-// measureShardMinRows is the smallest input the measure precomputation
-// bothers to shard: below it, goroutine startup would cost more than
-// the normalization work itself.
+// measureShardMinRows is the smallest number of distinct tuples the
+// measure precomputation bothers to shard: below it, goroutine startup
+// would cost more than the normalization work itself.
 const measureShardMinRows = 128
 
-// colAgg is one attribute's cross-row reduction state within one
-// shard: corpus statistics, distinct-value set, non-null count,
-// numeric bounds. Every field merges commutatively (count sums, set
-// unions, min/max), so folding per-shard aggregates reproduces the
-// sequential aggregates exactly regardless of shard count.
+// colAgg is one attribute's cross-row statistics: corpus, distinct-
+// value set, non-null count, numeric bounds. Every row folds in, so
+// they count multiplicities.
 type colAgg struct {
 	corpus   *strsim.Corpus
 	distinct map[uint64]bool
@@ -448,128 +462,130 @@ type colAgg struct {
 	haveNum  bool
 }
 
-// newColAggs returns one empty aggregate per attribute.
-func newColAggs(cols int) []colAgg {
-	a := make([]colAgg, cols)
-	for k := range a {
-		a[k] = colAgg{corpus: strsim.NewCorpus(), distinct: map[uint64]bool{}}
+// addNum widens the numeric bounds to cover f.
+func (a *colAgg) addNum(f float64) {
+	if !a.haveNum || f < a.min {
+		a.min = f
 	}
-	return a
-}
-
-// addNum widens the numeric bounds to cover [lo, hi].
-func (a *colAgg) addNum(lo, hi float64) {
-	if !a.haveNum || lo < a.min {
-		a.min = lo
-	}
-	if !a.haveNum || hi > a.max {
-		a.max = hi
+	if !a.haveNum || f > a.max {
+		a.max = f
 	}
 	a.haveNum = true
 }
 
-func (a *colAgg) merge(o *colAgg) {
-	a.corpus.Merge(o.corpus)
-	for h := range o.distinct {
-		a.distinct[h] = true
-	}
-	a.nonNull += o.nonNull
-	if o.haveNum {
-		a.addNum(o.min, o.max)
-	}
-}
-
-// newMeasure precomputes the per-cell comparison state. ctx is polled
-// between rows inside each shard; on cancellation the half-built
+// newMeasure precomputes the per-tuple comparison state. ctx is polled
+// every CancelStride rows and tuples; on cancellation the half-built
 // measure is discarded and ctx's error returned.
 func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Config) (*measure, error) {
-	n := rel.Len()
-	m := &measure{rel: rel, cols: cols, cfg: cfg}
-	m.texts = make([][]string, n)
-	m.cells = make([]cell, n*len(cols))
-	m.ranges = make([]float64, len(cols))
+	n, nc := rel.Len(), len(cols)
+	m := &measure{cols: cols, cfg: cfg, texts: make([][]string, n), tupleOf: make([]int, n), ranges: make([]float64, nc)}
 
+	// Pass 1, sequential: key each row by its cells' comparison state,
+	// numbering tuples by first row; keep and tokenize a new tuple's
+	// texts. Every row folds into the cross-row statistics: identifying-
+	// power corpora ("soft version of IDF", criterion iii), distinct-
+	// value sets, numeric bounds.
+	aggs := make([]colAgg, nc)
+	for k := range aggs {
+		aggs[k] = colAgg{corpus: strsim.NewCorpus(), distinct: map[uint64]bool{}}
+	}
+	ids := map[string]int{}
+	var key []byte
+	var first []int    // each tuple's first row
+	var texts []string // texts[u*nc+k]: tuple u's lowercased text of attr k
+	var toks []string  // every tuple cell's tokens, back to back
+	tokEnd := []int{0} // tuple cell c's tokens are toks[tokEnd[c]:tokEnd[c+1]]
+	lower := make([]string, nc)
+	for i := 0; i < n; i++ {
+		if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
+			return nil, ctx.Err()
+		}
+		vals := rel.Row(i)
+		key = key[:0]
+		for k, j := range cols {
+			v := vals[j]
+			if v.IsNull() {
+				lower[k] = ""
+				key = append(key, 0)
+				continue
+			}
+			// Length-prefixed text, then the numeric image: no two
+			// distinct cell states share a key.
+			lower[k] = strings.ToLower(v.Text())
+			key = binary.AppendUvarint(append(key, 1), uint64(len(lower[k])))
+			key = append(key, lower[k]...)
+			if f, ok := v.AsFloat(); ok {
+				key = binary.LittleEndian.AppendUint64(append(key, 1), math.Float64bits(f))
+				aggs[k].addNum(f)
+			} else {
+				key = append(key, 0)
+			}
+			aggs[k].distinct[v.Hash()] = true
+			aggs[k].nonNull++
+		}
+		u, ok := ids[string(key)]
+		if !ok {
+			u = len(first)
+			ids[string(key)] = u
+			first = append(first, i)
+			texts = append(texts, lower...)
+			for _, txt := range lower {
+				toks = strsim.AppendTokens(toks, txt)
+				tokEnd = append(tokEnd, len(toks))
+			}
+		}
+		m.tupleOf[i] = u
+		for k, j := range cols {
+			if c := u*nc + k; !vals[j].IsNull() {
+				aggs[k].corpus.AddDoc(toks[tokEnd[c]:tokEnd[c+1]])
+			}
+		}
+	}
+	t := len(first)
+	m.tuples = groupRows(m.tupleOf, t)
+	for i, u := range m.tupleOf {
+		m.texts[i] = texts[u*nc : (u+1)*nc : (u+1)*nc]
+	}
+	distinctness := make([]float64, nc)
+	for k := range aggs {
+		if aggs[k].haveNum {
+			m.ranges[k] = aggs[k].max - aggs[k].min
+		}
+		if aggs[k].nonNull > 0 {
+			distinctness[k] = float64(len(aggs[k].distinct)) / float64(aggs[k].nonNull)
+		}
+	}
+
+	// Pass 2, tuple-sharded: weights need the complete corpora and
+	// distinctness, read-only now; each cell is written by exactly one
+	// shard, so the measure is byte-identical at every worker count.
 	workers := parshard.Workers(cfg.Parallelism)
-	if n < measureShardMinRows {
+	if t < measureShardMinRows {
 		workers = 1
 	}
-
-	// Pass 1, row-sharded: normalize every cell once and derive all
-	// per-cell state. Workers write disjoint row slots of the per-cell
-	// arrays and accumulate the cross-row statistics — identifying-
-	// power corpora ("soft version of IDF", criterion iii), distinct-
-	// value sets, numeric bounds — into shard-local aggregates that
-	// fold commutatively afterwards, so the measure is byte-identical
-	// at every worker count.
-	aggs := make([][]colAgg, workers)
-	err := parshard.RangesContext(ctx, workers, n, func(shard, lo, hi int) {
-		agg := newColAggs(len(cols))
-		aggs[shard] = agg
+	m.cells = make([]cell, t*nc)
+	err := parshard.RangesContext(ctx, workers, t, func(_, lo, hi int) {
 		var sortBuf []rune
-		for i := lo; i < hi; i++ {
-			if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
+		for u := lo; u < hi; u++ {
+			if u%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
 				return
 			}
-			m.texts[i] = make([]string, len(cols))
-			row := m.row(i)
+			vals := rel.Row(first[u])
 			for k, j := range cols {
-				v := rel.Row(i)[j]
-				c := &row[k]
+				c, v := u*nc+k, vals[j]
+				x := &m.cells[c]
 				if v.IsNull() {
-					c.null = true
+					x.null = true
 					continue
 				}
-				txt := strings.ToLower(v.Text())
-				m.texts[i][k] = txt
-				c.runes = []rune(txt)
-				c.mask = runeMask(c.runes)
-				c.counts, sortBuf = countRunes(c.runes, sortBuf)
-				agg[k].corpus.AddText(txt)
-				agg[k].distinct[v.Hash()] = true
-				agg[k].nonNull++
+				x.runes = []rune(texts[c])
+				x.mask = runeMask(x.runes)
+				x.counts, sortBuf = countRunes(x.runes, sortBuf)
 				if f, ok := v.AsFloat(); ok {
-					c.num = f
-					c.isNum = true
-					agg[k].addNum(f, f)
+					x.num, x.isNum = f, true
 				}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := newColAggs(len(cols))
-	for _, agg := range aggs {
-		for k := range agg {
-			total[k].merge(&agg[k])
-		}
-	}
-	for k := range cols {
-		if total[k].haveNum {
-			m.ranges[k] = total[k].max - total[k].min
-		}
-	}
-
-	// Pass 2, row-sharded: weights need the complete corpora and
-	// distinctness; both are read-only now and each weight cell is
-	// written by exactly one shard.
-	distinctness := make([]float64, len(cols))
-	for k := range cols {
-		if total[k].nonNull > 0 {
-			distinctness[k] = float64(len(total[k].distinct)) / float64(total[k].nonNull)
-		}
-	}
-	err = parshard.RangesContext(ctx, workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
-				return
-			}
-			row := m.row(i)
-			for k := range cols {
-				if !row[k].null {
-					row[k].weight = identifyingPower(total[k].corpus, m.texts[i][k]) *
-						(0.25 + 0.75*distinctness[k])
-				}
+				x.weight = identifyingPower(aggs[k].corpus, toks[tokEnd[c]:tokEnd[c+1]]) *
+					(0.25 + 0.75*distinctness[k])
 			}
 		}
 	})
@@ -578,8 +594,10 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 	}
 	if n > 0 {
 		var sum float64
-		for i := range m.cells {
-			sum += m.cells[i].weight // zero for NULL cells
+		for i := range n {
+			for _, x := range m.row(i) {
+				sum += x.weight // zero for NULL cells
+			}
 		}
 		m.avgRowWeight = sum / float64(n)
 	}
@@ -605,12 +623,9 @@ func countRunes(rs []rune, sortBuf []rune) (runeCounts, []rune) {
 	return out, sortBuf
 }
 
-// identifyingPower is the mean soft IDF of the value's tokens — rare
-// values identify entities, frequent values do not. text is the cell's
-// normalized text (tokenization lowercases anyway, so normalized and
-// raw text yield identical tokens).
-func identifyingPower(c *strsim.Corpus, text string) float64 {
-	tokens := strsim.Tokenize(text)
+// identifyingPower is the mean soft IDF of a value's tokens — rare
+// values identify entities, frequent values do not.
+func identifyingPower(c *strsim.Corpus, tokens []string) float64 {
 	if len(tokens) == 0 {
 		return 0.5
 	}

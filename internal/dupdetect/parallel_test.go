@@ -81,10 +81,10 @@ func TestParallelDeterministicLargerThanChunk(t *testing.T) {
 }
 
 // TestShardedMeasureDeterministic forces a table large enough to
-// engage the row-sharded measure precomputation (n >= 128) and checks
-// the full Result — whose similarities depend on the sharded corpus,
-// distinctness and numeric-range aggregation — stays byte-identical
-// across worker counts.
+// engage the tuple-sharded measure precomputation (at least 128
+// distinct tuples) and checks the full Result — whose similarities
+// depend on the corpus, distinctness and numeric ranges — stays
+// byte-identical across worker counts.
 func TestShardedMeasureDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rel := randomDirtyTable(rng)
@@ -93,6 +93,17 @@ func TestShardedMeasureDeterministic(t *testing.T) {
 		for i := 0; i < more.Len(); i++ {
 			rel.MustAppend(more.Row(i))
 		}
+	}
+	var cols []int
+	for _, a := range SelectAttributes(rel) {
+		cols = append(cols, rel.Schema().MustLookup(a))
+	}
+	m, err := newMeasure(t.Context(), rel, cols, Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.tuples.len() < measureShardMinRows {
+		t.Fatalf("%d rows hold %d distinct tuples: the measure does not shard", rel.Len(), m.tuples.len())
 	}
 	seq, err := DetectContext(t.Context(), rel, Config{Parallelism: 1})
 	if err != nil {

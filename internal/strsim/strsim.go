@@ -188,19 +188,6 @@ func (c *Corpus) AddDoc(tokens []string) {
 // AddText tokenizes s and records it as one document.
 func (c *Corpus) AddText(s string) { c.AddDoc(Tokenize(s)) }
 
-// Merge folds another corpus's document-frequency statistics into c.
-// Counts are added, so merging per-shard corpora built over disjoint
-// row ranges yields exactly the corpus a sequential pass would have
-// built — the merge order cannot matter. This is what lets the
-// measure-precomputation phases shard corpus building across workers
-// while keeping results byte-identical.
-func (c *Corpus) Merge(o *Corpus) {
-	c.docs += o.docs
-	for t, n := range o.df {
-		c.df[t] += n
-	}
-}
-
 // IDF returns the smoothed inverse document frequency of token t:
 // log(1 + N/df). Unknown tokens receive the maximum weight
 // log(1 + N), i.e. df treated as 1.

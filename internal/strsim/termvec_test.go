@@ -25,42 +25,6 @@ func randTokens(rng *rand.Rand) []string {
 	return out
 }
 
-// TestCorpusMergeEquivalence: merging shard corpora must reproduce the
-// sequential corpus exactly — same doc count, same IDF for every term.
-func TestCorpusMergeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	docs := make([][]string, 50)
-	for i := range docs {
-		docs[i] = randTokens(rng)
-	}
-	seq := NewCorpus()
-	for _, d := range docs {
-		seq.AddDoc(d)
-	}
-	merged := NewCorpus()
-	for lo := 0; lo < len(docs); lo += 7 {
-		hi := lo + 7
-		if hi > len(docs) {
-			hi = len(docs)
-		}
-		shard := NewCorpus()
-		for _, d := range docs[lo:hi] {
-			shard.AddDoc(d)
-		}
-		merged.Merge(shard)
-	}
-	if seq.docs != merged.docs {
-		t.Fatalf("docs: %d vs %d", seq.docs, merged.docs)
-	}
-	for _, d := range docs {
-		for _, tok := range d {
-			if seq.IDF(tok) != merged.IDF(tok) {
-				t.Fatalf("IDF(%q) differs: %v vs %v", tok, seq.IDF(tok), merged.IDF(tok))
-			}
-		}
-	}
-}
-
 // TestTermVecMatchesVector: TermVec must carry exactly the weights of
 // the map-based TFIDFVector (same tf scaling, same IDF, same norm up
 // to accumulation-order rounding).
