@@ -25,12 +25,10 @@
 //	                     (0 = GOMAXPROCS, 1 = sequential; identical results)
 //	-window W            sorted-neighborhood candidate generation
 //	-block P             prefix-blocking candidate generation (P = prefix runes)
-//	-qgrams Q            q-gram blocking candidate generation (Q = gram length)
 //	-threshold T         duplicate similarity threshold (default 0.8)
 //	-match-parallel N    schema-matching worker goroutines
 //	                     (0 = GOMAXPROCS, 1 = sequential; identical results)
 //	-match-window W      sorted-neighborhood duplicate discovery for matching
-//	-match-qgrams Q      q-gram prefix blocking for matching (Q = gram length)
 //	-match-dups K        duplicates used for field-wise comparison (default 10)
 package main
 
@@ -67,11 +65,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	parallel := fs.Int("parallel", 0, "duplicate-detection workers (0 = GOMAXPROCS, 1 = sequential)")
 	window := fs.Int("window", 0, "sorted-neighborhood window (0 = exhaustive pairing)")
 	block := fs.Int("block", 0, "prefix-blocking key length in runes (0 = off)")
-	qgrams := fs.Int("qgrams", 0, "q-gram blocking gram length (0 = off)")
 	threshold := fs.Float64("threshold", 0, "duplicate similarity threshold (0 = default 0.8)")
 	matchParallel := fs.Int("match-parallel", 0, "schema-matching workers (0 = GOMAXPROCS, 1 = sequential)")
 	matchWindow := fs.Int("match-window", 0, "schema-matching sorted-neighborhood window (0 = token index)")
-	matchQGrams := fs.Int("match-qgrams", 0, "schema-matching q-gram blocking gram length (0 = off)")
 	matchDups := fs.Int("match-dups", 0, "duplicates used for field-wise comparison (0 = default 10)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,13 +78,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		Threshold:   *threshold,
 		Window:      *window,
 		Blocking:    *block,
-		QGrams:      *qgrams,
 		Parallelism: *parallel,
 	})
 	db.SetMatchConfig(hummer.MatchConfig{
 		MaxDuplicates: *matchDups,
 		Window:        *matchWindow,
-		QGrams:        *matchQGrams,
 		Parallelism:   *matchParallel,
 	})
 	for _, spec := range csvs {

@@ -50,7 +50,7 @@ func TestRunMatchFlags(t *testing.T) {
 		nil,
 		{"-match-parallel", "2"},
 		{"-match-window", "5"},
-		{"-match-qgrams", "3", "-match-dups", "2"},
+		{"-match-dups", "2"},
 	} {
 		args := append([]string{"-csv", "ee=" + ee, "-csv", "cs=" + cs, "-query", query}, extra...)
 		var out strings.Builder
@@ -67,14 +67,6 @@ func TestRunMatchFlags(t *testing.T) {
 		if out.String() != want {
 			t.Errorf("%v changed the fused result:\nwant:\n%s\ngot:\n%s", extra, want, out.String())
 		}
-	}
-	// Conflicting strategies must surface the config error.
-	err := run([]string{
-		"-csv", "ee=" + ee, "-csv", "cs=" + cs,
-		"-match-window", "3", "-match-qgrams", "3", "-query", query,
-	}, strings.NewReader(""), &strings.Builder{})
-	if err == nil {
-		t.Error("-match-window with -match-qgrams accepted; want error")
 	}
 }
 

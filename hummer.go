@@ -83,9 +83,9 @@ type (
 	MatchResult = dumas.Result
 	// MatchConfig tunes DUMAS schema matching: the number of
 	// duplicates used, similarity thresholds, candidate-generation
-	// strategy (token index by default, Window for sorted-neighborhood,
-	// QGrams for q-gram prefix blocking) and Parallelism (0 =
-	// GOMAXPROCS; the result is byte-identical at every worker count).
+	// strategy (token index by default, Window for sorted-neighborhood)
+	// and Parallelism (0 = GOMAXPROCS; the result is byte-identical at
+	// every worker count).
 	MatchConfig = dumas.Config
 	// MatchStats reports the candidate counts of a matching run.
 	MatchStats = dumas.Stats
@@ -94,9 +94,9 @@ type (
 	Detection = dupdetect.Result
 	// DetectionConfig tunes duplicate detection: threshold, attribute
 	// selection, candidate-generation strategy (exhaustive, Window for
-	// sorted-neighborhood, Blocking for prefix blocking, QGrams for
-	// q-gram blocking) and Parallelism (0 = GOMAXPROCS; the result is
-	// byte-identical at every worker count).
+	// sorted-neighborhood, Blocking for prefix blocking) and
+	// Parallelism (0 = GOMAXPROCS; the result is byte-identical at
+	// every worker count).
 	DetectionConfig = dupdetect.Config
 	// DetectionStats reports the comparison counts of a detection run.
 	DetectionStats = dupdetect.Stats
@@ -601,7 +601,7 @@ func (db *DB) QueryBatch(ctx context.Context, stmts []string, opts ...QueryOptio
 
 // SetDetectConfig installs the default duplicate-detection
 // configuration used by Query's fusion statements — the API and CLI
-// knob for the candidate strategy (Window / Blocking / QGrams) and
+// knob for the candidate strategy (Window / Blocking) and
 // Parallelism. Fuse calls pass their own PipelineOptions.Detect
 // instead. In-flight queries keep the configuration they started
 // with.
@@ -614,7 +614,7 @@ func (db *DB) SetDetectConfig(cfg DetectionConfig) {
 // SetMatchConfig installs the default DUMAS schema-matching
 // configuration used by Query's fusion statements — the API and CLI
 // knob for the duplicate budget (MaxDuplicates), the candidate
-// strategy (Window / QGrams) and Parallelism. Fuse calls pass their
+// strategy (Window) and Parallelism. Fuse calls pass their
 // own PipelineOptions.Match instead. In-flight queries keep the
 // configuration they started with.
 func (db *DB) SetMatchConfig(cfg MatchConfig) {

@@ -1,17 +1,15 @@
 package dumas
 
 import (
-	"cmp"
 	"context"
 	"slices"
 	"strings"
 
 	"hummer/internal/parshard"
-	"hummer/internal/strsim"
 )
 
 // Cross-relation candidate selection and scoring for the
-// duplicate-discovery step. Three strategies exist:
+// duplicate-discovery step. Two strategies exist:
 //
 //   - term at a time (the default, scorePostings): each left tuple
 //     walks its sorted term ids through posting lists id → (right row,
@@ -20,35 +18,12 @@ import (
 //     token have TFIDF cosine 0 and can never reach MinTupleSim > 0,
 //     so recall is exhaustive, and the sparse token↔tuple graph is
 //     visited once per edge.
-//   - sorted neighborhood (Config.Window): left and right tuples are
-//     merged into one list ordered by their whole-tuple sort key
+//   - sorted neighborhood (Config.Window, scoreWindow): left and right
+//     tuples are merged into one order by their whole-tuple sort key
 //     (lowercased tupleText); only cross-relation entries within the
 //     window are paired — ~(n+m)·w candidates.
-//   - q-gram prefix blocking (Config.QGrams): blocking keys are the
-//     padded q-grams of the first qgramPrefixRunes runes of the sort
-//     key. Tuples sharing any key are candidates, so a typo inside the
-//     prefix still leaves the other grams agreeing — recall survives
-//     dirty prefixes that defeat plain prefix blocking.
 //
-// All three score left rows in parshard.RangesContext shards
-// (scoreLeft). The key-based strategies are partner functions: for a
-// left row they list the right rows it is paired with, ascending and
-// each once, and scorePartners runs dot on each pair.
-
-// partnerFunc appends left row l's candidate right rows — ascending,
-// each once — to dst and returns it.
-type partnerFunc func(l int, dst []int) []int
-
-// qgramPrefixRunes is how much of the sort key the q-gram blocking
-// strategy derives its keys from: long enough to cover the leading
-// attribute, short enough that blocks stay discriminating.
-const qgramPrefixRunes = 10
-
-// maxQGramBlock caps a posting list's size for the q-gram strategy: a
-// gram shared by this many tuples does not discriminate entities, and
-// pairing through it would reintroduce the quadratic blowup blocking
-// exists to avoid.
-const maxQGramBlock = 1000
+// Both score left rows in parshard.RangesContext shards (scoreLeft).
 
 // posting is one entry of the right-hand inverted index: a right row
 // holding the term, and the term's weight in that row's term vector.
@@ -75,9 +50,13 @@ func scoreLeft(ctx context.Context, workers, nl int, newRow func() func(l int, o
 		return scoreShard{}, err
 	}
 	var out scoreShard
-	for _, sh := range shards {
-		out.merge(sh)
+	pairs := make([][]TuplePair, len(shards))
+	for s, sh := range shards {
+		out.stats.CandidatePairs += sh.stats.CandidatePairs
+		out.stats.Scored += sh.stats.Scored
+		pairs[s] = sh.pairs
 	}
+	out.pairs = slices.Concat(pairs...)
 	return out, nil
 }
 
@@ -141,16 +120,27 @@ func scorePostings(ctx context.Context, workers int, leftVecs, rightVecs []termV
 	})
 }
 
-// scorePartners scores every left row against the right rows its
-// partner function lists, one partner function per shard.
-func scorePartners(ctx context.Context, workers int, leftVecs, rightVecs []termVec, minSim float64, newPartners func() partnerFunc) (scoreShard, error) {
-	return scoreLeft(ctx, workers, len(leftVecs), func() func(int, *scoreShard) {
-		partners := newPartners()
-		var buf []int
+// scoreWindow is the sorted-neighborhood strategy: keys holds the sort
+// keys of the left rows followed by those of the right rows, and each
+// left row is scored against the right rows within window positions
+// of it in their parshard.SortedOrder, ascending. A stable sort of
+// left ++ right orders equal keys left before right, each side by row.
+func scoreWindow(ctx context.Context, workers int, leftVecs, rightVecs []termVec, keys []string, window int, minSim float64) (scoreShard, error) {
+	nl := len(leftVecs)
+	order, pos := parshard.SortedOrder(keys)
+	return scoreLeft(ctx, workers, nl, func() func(int, *scoreShard) {
+		var partners []int
 		return func(l int, out *scoreShard) {
-			buf = partners(l, buf[:0])
-			out.stats.CandidatePairs += len(buf)
-			for _, r := range buf {
+			partners = partners[:0]
+			p := pos[l]
+			for q := max(p-window, 0); q <= min(p+window, len(order)-1); q++ {
+				if r := order[q] - nl; r >= 0 {
+					partners = append(partners, r)
+				}
+			}
+			slices.Sort(partners)
+			out.stats.CandidatePairs += len(partners)
+			for _, r := range partners {
 				if sim := dot(leftVecs[l], rightVecs[r]); sim >= minSim {
 					out.stats.Scored++
 					out.pairs = append(out.pairs, TuplePair{LeftRow: l, RightRow: r, Sim: sim})
@@ -160,111 +150,6 @@ func scorePartners(ctx context.Context, workers int, leftVecs, rightVecs []termV
 	})
 }
 
-// qgramPartners pairs each left row with the right rows sharing at
-// least one q-gram of its sort-key prefix. The gram index is built
-// once; posting lists longer than maxQGramBlock are skipped, and each
-// shard's partner function dedups through its own stamp array.
-func qgramPartners(leftKeys, rightKeys []string, q int) func() partnerFunc {
-	grams := func(key string) []string { // distinct, sorted
-		gs := strsim.QGrams(runePrefix(key, qgramPrefixRunes), q)
-		slices.Sort(gs)
-		return slices.Compact(gs)
-	}
-	index := map[string][]int{}
-	for ri, key := range rightKeys {
-		for _, g := range grams(key) {
-			index[g] = append(index[g], ri)
-		}
-	}
-	keyed := make([][]string, len(leftKeys))
-	for li, key := range leftKeys {
-		keyed[li] = grams(key)
-	}
-	return func() partnerFunc {
-		stamp := make([]int, len(rightKeys)) // stamp[ri] == li+1: ri already a partner of li
-		return func(li int, dst []int) []int {
-			for _, g := range keyed[li] {
-				list := index[g]
-				if len(list) > maxQGramBlock {
-					continue
-				}
-				for _, ri := range list {
-					if stamp[ri] != li+1 {
-						stamp[ri] = li + 1
-						dst = append(dst, ri)
-					}
-				}
-			}
-			slices.Sort(dst)
-			return dst
-		}
-	}
-}
-
-// snEntry is one tuple in the combined sorted-neighborhood order.
-type snEntry struct {
-	key  string
-	side uint8 // 0 = left, 1 = right
-	row  int
-}
-
-// windowPartners pairs each left row with the right tuples within
-// `window` positions of it in the merged order of left and right
-// tuples by sort key. It keeps no scratch, so every shard shares one.
-func windowPartners(leftKeys, rightKeys []string, window int) func() partnerFunc {
-	entries := make([]snEntry, 0, len(leftKeys)+len(rightKeys))
-	for i, k := range leftKeys {
-		entries = append(entries, snEntry{key: k, side: 0, row: i})
-	}
-	for i, k := range rightKeys {
-		entries = append(entries, snEntry{key: k, side: 1, row: i})
-	}
-	slices.SortFunc(entries, func(a, b snEntry) int {
-		return cmp.Or(strings.Compare(a.key, b.key), cmp.Compare(a.side, b.side), cmp.Compare(a.row, b.row))
-	})
-	leftPos := make([]int, len(leftKeys))
-	for p, e := range entries {
-		if e.side == 0 {
-			leftPos[e.row] = p
-		}
-	}
-	partners := func(li int, dst []int) []int {
-		p := leftPos[li]
-		for q := max(p-window, 0); q <= min(p+window, len(entries)-1); q++ {
-			if entries[q].side == 1 {
-				dst = append(dst, entries[q].row)
-			}
-		}
-		slices.Sort(dst)
-		return dst
-	}
-	return func() partnerFunc { return partners }
-}
-
-// runePrefix returns the first p runes of s (the whole string when
-// shorter).
-func runePrefix(s string, p int) string {
-	n := 0
-	for i := range s {
-		if n == p {
-			return s[:i]
-		}
-		n++
-	}
-	return s
-}
-
-// sortKey renders a tuple's sorted-neighborhood / blocking key: the
-// lowercased whole-tuple text.
+// sortKey renders a tuple's sorted-neighborhood key: the lowercased
+// whole-tuple text.
 func sortKey(text string) string { return strings.ToLower(text) }
-
-// candidates selects the key-based strategy for cfg: Window or
-// QGrams (validation has rejected both at once; with neither set the
-// default strategy, scorePostings, runs instead). It returns a
-// constructor of per-shard partner functions.
-func candidates(cfg Config, leftKeys, rightKeys []string) func() partnerFunc {
-	if cfg.Window > 0 {
-		return windowPartners(leftKeys, rightKeys, cfg.Window)
-	}
-	return qgramPartners(leftKeys, rightKeys, cfg.QGrams)
-}

@@ -14,14 +14,14 @@
 // # Candidate generation
 //
 // Which cross-relation tuple pairs are scored during duplicate
-// discovery is decided by one of three strategies (see candidates.go).
+// discovery is decided by one of two strategies (see candidates.go).
 // The default scores term at a time: each left tuple walks its sorted
 // terms through an inverted index of the right tuples' term vectors,
 // accumulating one similarity per right tuple sharing a token
 // (exhaustive recall, since pairs sharing no token score 0). Sorted
-// neighborhood over the whole-tuple sort keys (Config.Window > 0) and
-// q-gram prefix blocking (Config.QGrams > 0) instead list each left
-// tuple's candidate right tuples and score each pair.
+// neighborhood over the whole-tuple sort keys (Config.Window > 0)
+// instead lists each left tuple's right neighbors in the merged key
+// order and scores each pair.
 //
 // # Parallelism and determinism
 //
@@ -72,14 +72,8 @@ type Config struct {
 	// and right tuples are merged into one order by their whole-tuple
 	// sort key and only cross-relation tuples within the window are
 	// scored. Near-linear cost, trading recall on far-sorting
-	// duplicates. Mutually exclusive with QGrams.
+	// duplicates.
 	Window int
-	// QGrams, when positive, switches duplicate discovery to q-gram
-	// prefix blocking with grams of this length: tuples sharing any
-	// q-gram of their sort-key prefix are scored. Robust to typos
-	// inside the prefix, unlike plain prefix blocking. Mutually
-	// exclusive with Window.
-	QGrams int
 	// Parallelism is the number of worker goroutines sharding the
 	// precomputation, pair scoring and field-matrix averaging: 0 means
 	// GOMAXPROCS, 1 forces the sequential path. The Result is
@@ -104,14 +98,6 @@ func (c Config) withDefaults() Config {
 		c.Threshold = d.Threshold
 	}
 	return c
-}
-
-// validate rejects meaningless strategy combinations.
-func (c Config) validate() error {
-	if c.Window > 0 && c.QGrams > 0 {
-		return fmt.Errorf("dumas: Window and QGrams are mutually exclusive candidate strategies")
-	}
-	return nil
 }
 
 // TuplePair is one presumed duplicate found during the discovery step.
@@ -152,9 +138,8 @@ type Result struct {
 }
 
 // MatchContext derives attribute correspondences between two unaligned
-// relations. It returns an error when either relation is empty —
-// instance-based matching has nothing to work with then — or when the
-// configuration selects conflicting candidate strategies.
+// relations. It returns an error when either relation is empty:
+// instance-based matching has nothing to work with then.
 //
 // ctx is honored throughout: the per-tuple precomputation polls it
 // between row shards, the scoring between left rows and the
@@ -164,9 +149,6 @@ type Result struct {
 // uncancelled run.
 func MatchContext(ctx context.Context, left, right *relation.Relation, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if left.Len() == 0 || right.Len() == 0 {
 		return nil, fmt.Errorf("dumas: relation %q or %q is empty; instance-based matching needs rows",
 			left.Name(), right.Name())
@@ -230,21 +212,14 @@ func tupleText(row relation.Row) string {
 // below it goroutine startup dominates.
 const precomputeMinRows = 128
 
-// pairChunk is the cross-product size at or below which the key-based
-// strategies score on one worker.
+// pairChunk is the cross-product size at or below which the window
+// strategy scores on one worker.
 const pairChunk = parshard.DefaultChunk
 
 // scoreShard is one shard's scoring output.
 type scoreShard struct {
 	stats Stats
 	pairs []TuplePair
-}
-
-// merge folds a later shard's output into s.
-func (s *scoreShard) merge(o scoreShard) {
-	s.stats.CandidatePairs += o.stats.CandidatePairs
-	s.stats.Scored += o.stats.Scored
-	s.pairs = append(s.pairs, o.pairs...)
 }
 
 // findDuplicates is the whole discovery step for one pair of
@@ -258,7 +233,7 @@ func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Con
 }
 
 // discover scores candidate tuple pairs by left-row shards (term at a
-// time by default, a key-based partner function otherwise) and makes
+// time by default, the sorted neighborhood under Window) and makes
 // the deterministic ranked 1:1 top-k selection: the top MaxDuplicates
 // pairs at or above MinTupleSim.
 //
@@ -266,11 +241,10 @@ func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Con
 // a real-world entity should contribute one aligned observation, and
 // reusing a tuple would bias the averaged field matrix toward it.
 //
-// cfg must have passed validation; MaxDuplicates and MinTupleSim are
-// honored exactly as given (no defaults are filled in, so MinTupleSim
-// = 0 keeps every candidate). ctx is polled during scoring; on
-// cancellation the partial state is discarded and ctx's error
-// returned.
+// MaxDuplicates and MinTupleSim are honored exactly as given (no
+// defaults are filled in, so MinTupleSim = 0 keeps every candidate).
+// ctx is polled during scoring; on cancellation the partial state is
+// discarded and ctx's error returned.
 func (p *prepared) discover(ctx context.Context, cfg Config) ([]TuplePair, Stats, error) {
 	nl, nr := p.left.rel.Len(), p.right.rel.Len()
 	_, ssp := obs.StartSpan(ctx, "match.score")
@@ -279,34 +253,34 @@ func (p *prepared) discover(ctx context.Context, cfg Config) ([]TuplePair, Stats
 	var out scoreShard
 	var scoreWorkers int
 	var err error
-	if cfg.Window == 0 && cfg.QGrams == 0 {
+	if cfg.Window == 0 {
 		scoreWorkers = min(p.preWorkers, nl)
 		out, err = scorePostings(ctx, scoreWorkers, p.left.vecs, p.right.vecs, len(p.terms), minSim)
 	} else {
-		// Sort keys rendered from the tuple texts. The cancellation
-		// error is deliberately dropped: the scoring run below
-		// re-checks ctx on entry, so a cancel here still aborts
-		// promptly — the poll only keeps this pass from running to
-		// completion first.
-		keysOf := func(rel *relation.Relation) []string {
-			keys := make([]string, rel.Len())
-			_ = parshard.RangesContext(ctx, p.preWorkers, len(keys), func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
-						return
-					}
-					keys[i] = sortKey(tupleText(rel.Row(i)))
+		// Sort keys rendered from the tuple texts, left rows then right
+		// rows. The cancellation error is deliberately dropped: the
+		// scoring run below re-checks ctx on entry, so a cancel here
+		// still aborts promptly — the poll only keeps this pass from
+		// running to completion first.
+		keys := make([]string, nl+nr)
+		_ = parshard.RangesContext(ctx, p.preWorkers, len(keys), func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
+					return
 				}
-			})
-			return keys
-		}
-		newPartners := candidates(cfg, keysOf(p.left.rel), keysOf(p.right.rel))
+				rel, r := p.left.rel, i
+				if i >= nl {
+					rel, r = p.right.rel, i-nl
+				}
+				keys[i] = sortKey(tupleText(rel.Row(r)))
+			}
+		})
 		// Tiny inputs stay on one worker; more would only add overhead.
 		scoreWorkers = min(p.workers, nl)
 		if nl*nr <= pairChunk {
 			scoreWorkers = 1
 		}
-		out, err = scorePartners(ctx, scoreWorkers, p.left.vecs, p.right.vecs, minSim, newPartners)
+		out, err = scoreWindow(ctx, scoreWorkers, p.left.vecs, p.right.vecs, keys, cfg.Window, minSim)
 	}
 	if err != nil {
 		return nil, Stats{}, err

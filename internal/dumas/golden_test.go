@@ -67,7 +67,6 @@ func TestGoldenMatch(t *testing.T) {
 	}{
 		{"default", Config{}},
 		{"window8", Config{Window: 8}},
-		{"qgrams3", Config{QGrams: 3}},
 		{"k3", Config{MaxDuplicates: 3}},
 	} {
 		res, err := MatchContext(t.Context(), left.Rel, right.Rel, tc.cfg)

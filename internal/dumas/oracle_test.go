@@ -41,11 +41,8 @@ func oracleDuplicates(left, right *relation.Relation, cfg Config) ([]TuplePair, 
 		rv[i] = corpus.TermVec(t)
 	}
 	candidate := func(li, ri int) bool { return shareTerm(lv[li], rv[ri]) }
-	switch {
-	case cfg.Window > 0:
+	if cfg.Window > 0 {
 		candidate = windowPredicate(lk, rk, cfg.Window)
-	case cfg.QGrams > 0:
-		candidate = qgramPredicate(lk, rk, cfg.QGrams)
 	}
 	minSim, maxDups := cfg.MinTupleSim, cfg.MaxDuplicates
 	var stats Stats
@@ -132,39 +129,6 @@ func windowPredicate(lk, rk []string, w int) func(li, ri int) bool {
 	}
 }
 
-// qgramPredicate: the two sort keys share a padded q-gram of their
-// first qgramPrefixRunes runes, and no more than maxQGramBlock right
-// tuples hold that gram.
-func qgramPredicate(lk, rk []string, q int) func(li, ri int) bool {
-	gramSet := func(key string) map[string]bool {
-		rs := []rune(key)
-		set := map[string]bool{}
-		for _, g := range strsim.QGrams(string(rs[:min(len(rs), qgramPrefixRunes)]), q) {
-			set[g] = true
-		}
-		return set
-	}
-	lg, rg := make([]map[string]bool, len(lk)), make([]map[string]bool, len(rk))
-	holders := map[string]int{}
-	for i, k := range lk {
-		lg[i] = gramSet(k)
-	}
-	for i, k := range rk {
-		rg[i] = gramSet(k)
-		for g := range rg[i] {
-			holders[g]++
-		}
-	}
-	return func(li, ri int) bool {
-		for g := range lg[li] {
-			if rg[ri][g] && holders[g] <= maxQGramBlock {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // requireSameDuplicates compares duplicates by row ids and the exact
 // bits of every Sim, and the stats exactly.
 func requireSameDuplicates(t *testing.T, label string, want, got []TuplePair, wantSt, gotSt Stats) {
@@ -207,7 +171,7 @@ func TestFindDuplicatesMatchesOracle(t *testing.T) {
 		if left.Len()+right.Len() < precomputeMinRows || left.Len()*right.Len() <= pairChunk {
 			t.Fatalf("seed %d: %d+%d rows do not engage sharding", seed, left.Len(), right.Len())
 		}
-		for _, strategy := range []Config{{}, {Window: 8}, {QGrams: 3}} {
+		for _, strategy := range []Config{{}, {Window: 8}} {
 			for _, k := range []int{1, 3, 10} {
 				for _, minSim := range []float64{0, 0.01, 0.25} {
 					cfg := strategy

@@ -75,7 +75,6 @@ func TestPropertyParallelDeterministic(t *testing.T) {
 		configs := []Config{
 			{},
 			{Window: 4},
-			{QGrams: 3},
 			{MaxDuplicates: 3, MinTupleSim: 0.05},
 		}
 		for ci, base := range configs {
@@ -165,15 +164,6 @@ func TestDefaultParallelismMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestWindowAndQGramsExclusive: setting both strategies is a
-// configuration error, not a silent precedence choice.
-func TestWindowAndQGramsExclusive(t *testing.T) {
-	left, right := randomPair(rand.New(rand.NewSource(1)))
-	if _, err := MatchContext(t.Context(), left, right, Config{Window: 3, QGrams: 3}); err == nil {
-		t.Fatal("Window+QGrams accepted; want error")
-	}
-}
-
 // dupSet projects the discovered duplicates to comparable (L,R) keys.
 func dupSet(dups []TuplePair) map[[2]int]bool {
 	out := map[[2]int]bool{}
@@ -184,9 +174,9 @@ func dupSet(dups []TuplePair) map[[2]int]bool {
 }
 
 // TestCandidateStrategyRecall: on seeded data with shared entities,
-// sorted neighborhood (with a generous window) and q-gram blocking
-// must discover exactly the duplicates the full-recall token index
-// finds — the pruning strategies only drop hopeless pairs here.
+// sorted neighborhood with a generous window must discover exactly the
+// duplicates the full-recall token index finds — pruning only drops
+// hopeless pairs here.
 func TestCandidateStrategyRecall(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	left, right := randomPair(rng)
@@ -203,7 +193,6 @@ func TestCandidateStrategyRecall(t *testing.T) {
 		cfg   Config
 	}{
 		{"window", Config{Window: left.Len() + right.Len()}},
-		{"qgrams", Config{QGrams: 3}},
 	} {
 		res, err := MatchContext(t.Context(), left, right, tc.cfg)
 		if err != nil {
@@ -214,45 +203,5 @@ func TestCandidateStrategyRecall(t *testing.T) {
 			t.Errorf("%s: top duplicates differ from exhaustive\nwant %v\ngot  %v",
 				tc.label, want, got)
 		}
-	}
-}
-
-// TestQGramsPrunesCandidates: with discriminating sort-key prefixes,
-// q-gram blocking must consider strictly fewer pairs than the token
-// index on data whose tuples share common trailing vocabulary (the
-// token index pairs everything through the shared department tokens;
-// blocking only pairs tuples whose leading value shares a gram).
-func TestQGramsPrunesCandidates(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	letters := "abcdefghijklmnopqrstuvwxyz"
-	word := func(n int) string {
-		out := make([]byte, n)
-		for i := range out {
-			out[i] = letters[rng.Intn(len(letters))]
-		}
-		return string(out)
-	}
-	lb := relation.NewBuilder("l", "Name", "Dept")
-	rb := relation.NewBuilder("r", "Person", "Unit")
-	for i := 0; i < 40; i++ {
-		name := word(10)
-		lb.AddText(name, "shared department label")
-		rb.AddText(name, "shared department label")
-	}
-	left, right := lb.Build(), rb.Build()
-	full, err := MatchContext(t.Context(), left, right, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocked, err := MatchContext(t.Context(), left, right, Config{QGrams: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blocked.Stats.CandidatePairs >= full.Stats.CandidatePairs {
-		t.Errorf("q-gram blocking considered %d pairs, token index %d",
-			blocked.Stats.CandidatePairs, full.Stats.CandidatePairs)
-	}
-	if blocked.Stats.CandidatePairs == 0 {
-		t.Error("q-gram blocking produced no candidates at all")
 	}
 }

@@ -91,7 +91,7 @@ func requireMatchesReference(t *testing.T, label string, left, right *relation.R
 func TestMatchMatchesStringKeyedReference(t *testing.T) {
 	for _, seed := range []int64{7, 42, 123, 2005} {
 		left, right := personsPair(seed, 120)
-		for _, strategy := range []Config{{}, {Window: 8}, {QGrams: 3}} {
+		for _, strategy := range []Config{{}, {Window: 8}} {
 			for _, par := range []int{1, 3} {
 				cfg := strategy
 				cfg.Parallelism = par

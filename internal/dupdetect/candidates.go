@@ -3,22 +3,20 @@ package dupdetect
 import (
 	"context"
 	"slices"
-	"sort"
 	"strings"
 
 	"hummer/internal/parshard"
-	"hummer/internal/strsim"
 )
 
 // Candidate partners for the key-based strategies — sorted
-// neighborhood (Config.Window), prefix blocking (Config.Blocking) and
-// q-gram blocking (Config.QGrams), described in the package doc. Each
-// is a partnerFunc: row a's candidate partners, every row b > a that
-// the strategy pairs with a, each once and ascending. scoreRows
-// (shard.go) enumerates them row by row over the same folded row
-// shards the exhaustive default uses, so every strategy scores its
-// pairs in ascending (A, B) order. The exhaustive default has no
-// partner function: its partners are all later rows.
+// neighborhood (Config.Window) and prefix blocking (Config.Blocking),
+// described in the package doc. Each is a partnerFunc: row a's
+// candidate partners, every row b > a that the strategy pairs with a,
+// each once and ascending. scoreRows (shard.go) enumerates them row by
+// row over the same folded row shards the exhaustive default uses, so
+// every strategy scores its pairs in ascending (A, B) order. The
+// exhaustive default has no partner function: its partners are all
+// later rows.
 
 // partnerFunc appends row a's candidate partners — rows b > a,
 // ascending, each once — to dst and returns it.
@@ -57,23 +55,14 @@ func (m *measure) sortKeys(ctx context.Context) []string {
 }
 
 // windowPartners pairs the rows within `window` positions of each
-// other in the stable sort by key: row a's partners are the later rows
-// among its neighbors in that order. It keeps no scratch, so every
-// shard shares one.
+// other in parshard.SortedOrder of keys: row a's partners are the later
+// rows among its neighbors in that order. It keeps no scratch, so
+// every shard shares one.
 func windowPartners(keys []string, window int) func() partnerFunc {
-	n := len(keys)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool { return keys[order[x]] < keys[order[y]] })
-	pos := make([]int, n)
-	for p, i := range order {
-		pos[i] = p
-	}
+	order, pos := parshard.SortedOrder(keys)
 	partners := func(a int, dst []int) []int {
 		p := pos[a]
-		for q := max(p-window, 0); q <= min(p+window, n-1); q++ {
+		for q := max(p-window, 0); q <= min(p+window, len(order)-1); q++ {
 			if b := order[q]; b > a {
 				dst = append(dst, b)
 			}
@@ -84,8 +73,8 @@ func windowPartners(keys []string, window int) func() partnerFunc {
 	return func() partnerFunc { return partners }
 }
 
-// blockIndex is the sparse row↔block graph of a blocking strategy:
-// the kept blocks of every pass and, per row, the blocks holding it.
+// blockIndex is the sparse row↔block graph of prefix blocking: the
+// kept blocks of every pass and, per row, the blocks holding it.
 type blockIndex struct {
 	blocks    [][]int // member rows of each kept block, ascending
 	rowBlocks [][]int // per row, the kept blocks it belongs to
@@ -96,16 +85,16 @@ type blockIndex struct {
 	skippedRows int
 }
 
-// buildBlocks is the shared multi-pass block construction behind the
-// key-based blocking strategies. keysOf returns the blocking keys of
-// row i under selected attribute k (NULL cells are skipped, and so are
-// empty keys); rows sharing a key in one pass form a block. Oversized
-// blocks (more than maxBlockRows members) carry almost no
-// discriminating power and are skipped — counted rather than dropped
-// silently — and single-row blocks pair nothing. ctx is polled every
-// CancelStride rows of each pass; on cancellation the index is partial
-// and the scoring run, which re-checks ctx on entry, discards it.
-func buildBlocks(ctx context.Context, m *measure, keysOf func(i, k int) []string) *blockIndex {
+// buildBlocks is multi-pass prefix blocking's block construction: in
+// the pass of selected attribute k, rows whose normalized values share
+// their first prefixLen runes form a block (NULL and empty values key
+// nothing). Oversized blocks (more than maxBlockRows members) carry
+// almost no discriminating power and are skipped — counted rather than
+// dropped silently — and single-row blocks pair nothing. ctx is polled
+// every CancelStride rows of each pass; on cancellation the index is
+// partial and the scoring run, which re-checks ctx on entry, discards
+// it.
+func buildBlocks(ctx context.Context, m *measure, prefixLen int) *blockIndex {
 	n := len(m.texts)
 	bi := &blockIndex{rowBlocks: make([][]int, n)}
 	for k := range m.cols {
@@ -115,25 +104,18 @@ func buildBlocks(ctx context.Context, m *measure, keysOf func(i, k int) []string
 			if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
 				return bi
 			}
-			if m.row(i)[k].null {
+			c := &m.row(i)[k]
+			if c.null || len(c.runes) == 0 {
 				continue
 			}
-			for _, key := range keysOf(i, k) {
-				if key == "" {
-					continue
-				}
-				id, ok := ids[key]
-				if !ok {
-					id = len(pass)
-					ids[key] = id
-					pass = append(pass, nil)
-				}
-				// A key repeated within one cell joins the block once:
-				// rows arrive in ascending order, so i would be last.
-				if rows := pass[id]; len(rows) == 0 || rows[len(rows)-1] != i {
-					pass[id] = append(rows, i)
-				}
+			key := runePrefix(c.runes, prefixLen)
+			id, ok := ids[key]
+			if !ok {
+				id = len(pass)
+				ids[key] = id
+				pass = append(pass, nil)
 			}
+			pass[id] = append(pass[id], i)
 		}
 		for _, rows := range pass {
 			switch {
@@ -172,17 +154,6 @@ func (bi *blockIndex) partners() partnerFunc {
 	}
 }
 
-// blockingKeys is prefix blocking's keysOf: one key per cell, the
-// first prefixLen runes of the normalized value. buf is reused across
-// cells — buildBlocks consumes the keys before the next call.
-func blockingKeys(m *measure, prefixLen int) func(i, k int) []string {
-	var buf [1]string
-	return func(i, k int) []string {
-		buf[0] = runePrefix(m.row(i)[k].runes, prefixLen)
-		return buf[:]
-	}
-}
-
 // runePrefix returns the first p runes of rs as a string (the whole
 // value when shorter).
 func runePrefix(rs []rune, p int) string {
@@ -192,43 +163,14 @@ func runePrefix(rs []rune, p int) string {
 	return string(rs[:p])
 }
 
-// qgramPrefixRunes is how much of an attribute value the q-gram
-// blocking strategy derives its keys from — the same horizon the
-// dumas scheme uses: long enough to cover the identifying head of the
-// value, short enough that keys stay discriminating.
-const qgramPrefixRunes = 10
-
-// qgramKeys is q-gram blocking's keysOf — the dumas candidate scheme
-// ported to single-relation detection: every padded q-gram of the
-// value's normalized prefix is a blocking key. Unlike plain prefix
-// blocking, a typo inside the prefix leaves the value's other grams
-// intact, so the pair is still discovered through an agreeing gram.
-// Empty (non-null) values yield no keys: their grams would be pure
-// padding, herding every empty cell of an attribute into one
-// meaningless block.
-func qgramKeys(m *measure, q int) func(i, k int) []string {
-	return func(i, k int) []string {
-		rs := m.row(i)[k].runes
-		if len(rs) == 0 {
-			return nil
-		}
-		return strsim.QGrams(runePrefix(rs, qgramPrefixRunes), q)
-	}
-}
-
-// candidates selects the key-based strategy for cfg (one of Window,
-// Blocking and QGrams is set) over the measured relation. It returns a
-// constructor of per-shard partner functions and the block index's
-// skip counters (zero for Window). Config validation has already
-// rejected conflicting settings.
+// candidates builds the key-based strategy cfg selects (Window or
+// Blocking; DetectContext has rejected both at once) over the measured
+// relation. It returns a constructor of per-shard partner functions
+// and the block index's skip counters (zero for Window).
 func candidates(ctx context.Context, m *measure, cfg Config) (newPartners func() partnerFunc, skipped, skippedRows int) {
 	if cfg.Window > 0 {
 		return windowPartners(m.sortKeys(ctx), cfg.Window), 0, 0
 	}
-	keysOf := qgramKeys(m, cfg.QGrams)
-	if cfg.Blocking > 0 {
-		keysOf = blockingKeys(m, cfg.Blocking)
-	}
-	bi := buildBlocks(ctx, m, keysOf)
+	bi := buildBlocks(ctx, m, cfg.Blocking)
 	return bi.partners, bi.skipped, bi.skippedRows
 }

@@ -19,7 +19,7 @@
 //
 // # Candidate generation
 //
-// Which pairs are compared is decided by one of four strategies:
+// Which pairs are compared is decided by one of three strategies:
 //
 //   - exhaustive (the default): all n·(n-1)/2 pairs — the paper's
 //     quadratic loop, full recall.
@@ -29,11 +29,7 @@
 //     recall on far-sorting duplicates for near-linear cost.
 //   - blocking (Config.Blocking > 0): multi-pass prefix blocking, one
 //     pass per selected attribute; rows sharing the first Blocking
-//     runes of an attribute's normalized value are compared.
-//   - q-gram blocking (Config.QGrams > 0): like prefix blocking, but
-//     the keys are the padded q-grams of each attribute value's
-//     normalized prefix, so a typo inside the prefix still leaves
-//     other grams agreeing — recall survives dirty prefixes. Unlike
+//     runes of an attribute's normalized value are compared. Unlike
 //     the single sorted key, a pair only needs to agree on a prefix of
 //     *some* attribute to become a candidate.
 //
@@ -113,17 +109,8 @@ type Config struct {
 	// value form a block, and only rows sharing a block are compared.
 	// Recall survives a dirty attribute as long as some other selected
 	// attribute still agrees on its prefix. Mutually exclusive with
-	// Window and QGrams.
+	// Window.
 	Blocking int
-	// QGrams, when positive, switches candidate generation to q-gram
-	// blocking with grams of this length — the dumas key scheme
-	// ported to detection: for each selected attribute, the padded
-	// q-grams of the attribute value's normalized prefix become
-	// blocking keys, and rows sharing any key are compared. A typo
-	// inside the prefix still leaves the remaining grams agreeing, so
-	// recall survives dirty prefixes that defeat plain prefix
-	// Blocking. Mutually exclusive with Window and Blocking.
-	QGrams int
 	// Parallelism is the number of worker goroutines that score
 	// candidate pairs: 0 means GOMAXPROCS, 1 forces the sequential
 	// path. The Result is byte-identical at every worker count.
@@ -158,12 +145,11 @@ type Stats struct {
 	FilteredOut int
 	// Compared is how many pairs ran the full similarity measure.
 	Compared int
-	// SkippedBlocks counts the oversized candidate blocks the key-based
-	// strategies (Blocking, QGrams) refused to pair: more than
-	// maxBlockRows rows shared one key, so the key carried no
-	// discriminating power. Nonzero values mean recall may have been
-	// lost to a near-constant attribute — pick a longer prefix, longer
-	// grams, or a different attribute selection.
+	// SkippedBlocks counts the oversized candidate blocks the Blocking
+	// strategy refused to pair: more than maxBlockRows rows shared one
+	// key, so the key carried no discriminating power. Nonzero values
+	// mean recall may have been lost to a near-constant attribute —
+	// pick a longer prefix or a different attribute selection.
 	SkippedBlocks int
 	// SkippedBlockRows is the total membership of those skipped blocks
 	// (rows counted once per skipped block they appear in).
@@ -193,20 +179,14 @@ type Result struct {
 // DetectContext finds duplicate clusters in rel, honoring ctx: the
 // measure precomputation and the key-based candidate builds poll it
 // every CancelStride rows and the pair scoring once per fold unit (a
-// distinct tuple, or a row under Window, Blocking and QGrams), so a
+// distinct tuple, or a row under Window and Blocking), so a
 // cancelled detection returns promptly with ctx's error, all worker
 // goroutines joined and no partial result. A detection that completes
 // is byte-identical to an uncancelled run.
 func DetectContext(ctx context.Context, rel *relation.Relation, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	strategies := 0
-	for _, knob := range []int{cfg.Window, cfg.Blocking, cfg.QGrams} {
-		if knob > 0 {
-			strategies++
-		}
-	}
-	if strategies > 1 {
-		return nil, fmt.Errorf("dupdetect: Window, Blocking and QGrams are mutually exclusive candidate strategies")
+	if cfg.Window > 0 && cfg.Blocking > 0 {
+		return nil, fmt.Errorf("dupdetect: Window and Blocking are mutually exclusive candidate strategies")
 	}
 	attrs := cfg.Attributes
 	if len(attrs) == 0 {
@@ -238,7 +218,7 @@ func DetectContext(ctx context.Context, rel *relation.Relation, cfg Config) (*Re
 	units := m.tuples.len()
 	var newPartners func() partnerFunc
 	var skipped, skippedRows int
-	if strategies > 0 {
+	if cfg.Window > 0 || cfg.Blocking > 0 {
 		units = rel.Len()
 		newPartners, skipped, skippedRows = candidates(ctx, m, cfg)
 	}

@@ -54,9 +54,9 @@ func refUpperBound(m *measure, a, b int) float64 {
 // refCandidates is the reference candidate enumeration of the
 // key-based strategies, written from their definitions without the
 // product's partner functions. Window walks the stable sort by key and
-// pairs every row with the next Window rows; Blocking and QGrams walk
-// every block of every pass in sorted key order, count the oversized
-// blocks, and keep each pair once through a seen set. The pairs come
+// pairs every row with the next Window rows; Blocking walks every
+// block of every pass in sorted key order, counts the oversized
+// blocks, and keeps each pair once through a seen set. The pairs come
 // back sorted by (A, B).
 func refCandidates(m *measure, cfg Config) (pairs [][2]int, skipped, skippedRows int) {
 	n := len(m.texts)
@@ -89,22 +89,8 @@ func refCandidates(m *measure, cfg Config) (pairs [][2]int, skipped, skippedRows
 			blocks := map[string][]int{}
 			for i := 0; i < n; i++ {
 				c := m.row(i)[k]
-				if c.null {
-					continue
-				}
-				keys := map[string]bool{}
-				switch {
-				case cfg.Blocking > 0:
-					keys[prefix(c.runes, cfg.Blocking)] = true
-				case len(c.runes) > 0:
-					for _, g := range strsim.QGrams(prefix(c.runes, qgramPrefixRunes), cfg.QGrams) {
-						keys[g] = true
-					}
-				}
-				for key := range keys {
-					if key != "" {
-						blocks[key] = append(blocks[key], i)
-					}
+				if key := prefix(c.runes, cfg.Blocking); !c.null && key != "" {
+					blocks[key] = append(blocks[key], i)
 				}
 			}
 			for _, key := range slices.Sorted(maps.Keys(blocks)) {
@@ -168,7 +154,7 @@ func refDetect(t *testing.T, rel *relation.Relation, cfg Config) *Result {
 			res.Borderline = append(res.Borderline, ScoredPair{A: a, B: b, Sim: sim})
 		}
 	}
-	if cfg.Window == 0 && cfg.Blocking == 0 && cfg.QGrams == 0 {
+	if cfg.Window == 0 && cfg.Blocking == 0 {
 		for a := 0; a < rel.Len(); a++ {
 			for b := a + 1; b < rel.Len(); b++ {
 				score(a, b)
@@ -218,13 +204,19 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// datagenDirty is the detection workload's shape of input: every
-// seeded person observed three times with independent typos and NULLs.
-func datagenDirty(seed int64, entities int) *relation.Relation {
+// datagenDirtyObservation is the detection workload's shape of input:
+// every seeded person observed three times with independent typos and
+// NULLs, with each row's true entity.
+func datagenDirtyObservation(seed int64, entities int) *datagen.Observation {
 	ents := datagen.Persons.Generate(seed, entities)
 	return datagen.DirtyTable(datagen.Persons, ents, 3, datagen.SourceSpec{
 		Alias: "dirty", TypoRate: 0.15, NullRate: 0.1, Seed: seed + 3,
-	}).Rel
+	})
+}
+
+// datagenDirty is datagenDirtyObservation's relation.
+func datagenDirty(seed int64, entities int) *relation.Relation {
+	return datagenDirtyObservation(seed, entities).Rel
 }
 
 // TestDetectMatchesOracle: DetectContext equals the brute-force reference —
@@ -236,7 +228,6 @@ func TestDetectMatchesOracle(t *testing.T) {
 		{Threshold: 0.6},
 		{Window: 4},
 		{Blocking: 3},
-		{QGrams: 3},
 	}
 	for _, seed := range []int64{42, 123, 456} {
 		rel := datagenDirty(seed, 60)
@@ -388,9 +379,7 @@ func TestDetectOracleEdgeCases(t *testing.T) {
 		{"edge no filter", edge, Config{Attributes: all, DisableFilter: true}},
 		{"edge window", edge, Config{Attributes: all, Window: 5}},
 		{"edge blocking", edge, Config{Attributes: all, Blocking: 2}},
-		{"edge qgrams", edge, Config{Attributes: all, QGrams: 2}},
 		{"single", single, Config{Attributes: all}},
-		{"single qgrams", single, Config{Attributes: all, QGrams: 3}},
 	} {
 		want := refDetect(t, tc.rel, tc.cfg)
 		for _, par := range []int{1, 2, 3, 8} {
@@ -410,7 +399,7 @@ func TestDetectOracleEdgeCases(t *testing.T) {
 // were built once per distinct tuple from one tokenization). Per-cell rune
 // slices and histograms dominate; a change that starts allocating per pair blows through it
 // at once.
-const maxDetectAllocs = 2653
+const maxDetectAllocs = 2652
 
 // raceEnabled is set by race_test.go under -race.
 var raceEnabled bool

@@ -64,16 +64,6 @@ type shardResult struct {
 	borderline []ScoredPair
 }
 
-// merge appends part after into: the fold scoreRows applies in
-// ascending unit order.
-func (into *shardResult) merge(part shardResult) {
-	into.stats.CandidatePairs += part.stats.CandidatePairs
-	into.stats.FilteredOut += part.stats.FilteredOut
-	into.stats.Compared += part.stats.Compared
-	into.dups = append(into.dups, part.dups...)
-	into.borderline = append(into.borderline, part.borderline...)
-}
-
 // pairScorer scores candidate unit pairs with private scratch buffers;
 // one per worker.
 type pairScorer struct {
@@ -142,8 +132,10 @@ func scoreRows(ctx context.Context, m *measure, cfg Config, workers int, newPart
 	}
 	t := us.len()
 	half := (t + 1) / 2
-	fronts := make([]shardResult, workers)
-	backs := make([]shardResult, workers)
+	// Shard s writes its fronts to parts[s] and its backs to
+	// parts[2·workers−1−s], so parts lists the outputs in ascending
+	// unit order.
+	parts := make([]shardResult, 2*workers)
 	err := parshard.RangesContext(ctx, workers, half, func(s, lo, hi int) {
 		ps := &pairScorer{m: m, cfg: cfg, units: us}
 		var partners partnerFunc
@@ -172,20 +164,24 @@ func scoreRows(ctx context.Context, m *measure, cfg Config, workers int, newPart
 			}
 			return true
 		}
-		if units(lo, hi, &fronts[s]) {
-			units(max(t-hi, half), t-lo, &backs[s])
+		if units(lo, hi, &parts[s]) {
+			units(max(t-hi, half), t-lo, &parts[len(parts)-1-s])
 		}
 	})
 	if err != nil {
 		return shardResult{}, err
 	}
+	dups := make([][]ScoredPair, len(parts))
+	borderline := make([][]ScoredPair, len(parts))
 	var out shardResult
-	for s := range fronts {
-		out.merge(fronts[s])
+	for i, part := range parts {
+		out.stats.CandidatePairs += part.stats.CandidatePairs
+		out.stats.FilteredOut += part.stats.FilteredOut
+		out.stats.Compared += part.stats.Compared
+		dups[i], borderline[i] = part.dups, part.borderline
 	}
-	for s := len(backs) - 1; s >= 0; s-- {
-		out.merge(backs[s])
-	}
+	out.dups = slices.Concat(dups...)
+	out.borderline = slices.Concat(borderline...)
 	byRows := func(p, q ScoredPair) int { return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B)) }
 	slices.SortFunc(out.dups, byRows)
 	slices.SortFunc(out.borderline, byRows)

@@ -15,7 +15,8 @@
 // shard and folded by the caller in shard order (or must be
 // order-insensitive, like integer counts, set unions, min/max). Every
 // candidate strategy of dupdetect and dumas is a per-row partner
-// enumeration over such row shards.
+// enumeration over such row shards; the two windowed ones walk the
+// one sorted-neighbourhood order SortedOrder builds.
 //
 // Run is the one other entry point: it drains a generator into
 // fixed-size chunks and runs the chunk index space through
@@ -51,8 +52,11 @@
 package parshard
 
 import (
+	"cmp"
 	"context"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"hummer/internal/fault"
@@ -223,4 +227,25 @@ func Canceled(ctx context.Context) bool {
 	default:
 		return false
 	}
+}
+
+// SortedOrder is the sorted-neighbourhood order of keys: order lists
+// the indices of keys by ascending key, equal keys by ascending index
+// (the stable sort), and pos is its inverse, pos[i] being index i's
+// place in order. Breaking ties by index makes the order a function of
+// keys alone, which the windowed candidate strategies' byte-identity
+// rests on.
+func SortedOrder(keys []string) (order, pos []int) {
+	order = make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(strings.Compare(keys[a], keys[b]), cmp.Compare(a, b))
+	})
+	pos = make([]int, len(keys))
+	for p, i := range order {
+		pos[i] = p
+	}
+	return order, pos
 }

@@ -3,6 +3,7 @@ package parshard
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 )
@@ -146,5 +147,41 @@ func TestRangesShardIndexes(t *testing.T) {
 	}
 	if prev != n {
 		t.Fatalf("shards end at %d, want %d", prev, n)
+	}
+}
+
+// TestSortedOrderBreaksTiesByIndex: SortedOrder is the stable sort of
+// the key indices — equal keys keep ascending index order, which both
+// windowed candidate strategies' byte-identity rests on — and pos
+// inverts order. Random keys over a tiny alphabet force long tie runs;
+// the reference is sort.SliceStable.
+func TestSortedOrderBreaksTiesByIndex(t *testing.T) {
+	order, pos := SortedOrder([]string{"b", "a", "b", "a", ""})
+	if want := []int{4, 1, 3, 0, 2}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if want := []int{3, 1, 4, 2, 0}; !reflect.DeepEqual(pos, want) {
+		t.Fatalf("pos = %v, want %v", pos, want)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		keys := make([]string, rng.Intn(200))
+		for i := range keys {
+			keys[i] = string(rune('a' + rng.Intn(3)))
+		}
+		want := make([]int, len(keys))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(x, y int) bool { return keys[want[x]] < keys[want[y]] })
+		order, pos := SortedOrder(keys)
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("trial %d: order %v, stable sort %v", trial, order, want)
+		}
+		for p, i := range order {
+			if pos[i] != p {
+				t.Fatalf("trial %d: pos[%d] = %d, want %d", trial, i, pos[i], p)
+			}
+		}
 	}
 }

@@ -119,25 +119,6 @@ func appendToken(dst []string, run string, upper bool) []string {
 	return append(dst, run)
 }
 
-// QGrams returns the padded q-grams of s (lower-cased), q >= 1.
-// Padding with q-1 '#' characters on both ends weights affixes, the
-// standard construction for q-gram distance.
-func QGrams(s string, q int) []string {
-	if q < 1 {
-		q = 1
-	}
-	pad := strings.Repeat("#", q-1)
-	padded := []rune(pad + strings.ToLower(s) + pad)
-	if len(padded) < q {
-		return nil
-	}
-	grams := make([]string, 0, len(padded)-q+1)
-	for i := 0; i+q <= len(padded); i++ {
-		grams = append(grams, string(padded[i:i+q]))
-	}
-	return grams
-}
-
 // NumericSim compares two numbers: 1 when equal, decaying with the
 // relative difference |a-b| / max(|a|,|b|). Two zeros are identical.
 func NumericSim(a, b float64) float64 {

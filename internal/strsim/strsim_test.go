@@ -133,23 +133,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestQGrams(t *testing.T) {
-	got := QGrams("ab", 2)
-	want := []string{"#a", "ab", "b#"}
-	if len(got) != len(want) {
-		t.Fatalf("QGrams = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("gram[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	if QGrams("", 2) != nil {
-		// padded "" with q=2 → "#" + "" + "#" = "##", one gram.
-		t.Log("empty string grams:", QGrams("", 2))
-	}
-}
-
 func TestNumericSim(t *testing.T) {
 	if !approx(NumericSim(5, 5), 1) || !approx(NumericSim(0, 0), 1) {
 		t.Error("equal numbers must score 1")
