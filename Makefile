@@ -53,9 +53,10 @@ RACE_PKGS = . ./internal/parshard ./internal/dupdetect ./internal/dumas \
 
 # Packages held to the coverage floor (matching + detection core and
 # the sharding and candidate-order helpers they share, the planner,
-# the relational engine, the HTTP server and its metrics).
+# the relational engine and the relations it passes around, the HTTP
+# server and its metrics).
 COVER_PKGS = ./internal/dumas ./internal/dupdetect ./internal/parshard ./internal/assign \
-	./internal/strsim ./internal/plan ./internal/engine ./internal/server ./internal/obs
+	./internal/strsim ./internal/plan ./internal/engine ./internal/relation ./internal/server ./internal/obs
 COVER_FLOOR = 70
 
 .PHONY: check fmtcheck fmt vet lint build test race chaos cover bench bench-check bench-agree serve loadtest profile profile-cold fuzz

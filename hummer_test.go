@@ -1,9 +1,12 @@
 package hummer
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -216,4 +219,76 @@ func ExampleDB_Query() {
 	// Output:
 	// Jonathan Smith 22
 	// Maria Garcia 24
+}
+
+// TestWithMatchConfigAppliesToOneQuery: a per-query DUMAS configuration
+// changes that query's schema matching only; the next query without
+// the option matches with the DB-wide default again.
+func TestWithMatchConfigAppliesToOneQuery(t *testing.T) {
+	db := studentDB(t)
+	const q = `SELECT * FUSE FROM EE_Student, CS_Students FUSE BY (Name)`
+	cols := func(opts ...QueryOption) []string {
+		t.Helper()
+		res, err := db.Query(q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rel.Schema().Names()
+	}
+	before := cols()
+	// A threshold above every similarity keeps each CS column apart.
+	strict := cols(WithMatchConfig(MatchConfig{Threshold: 2}))
+	after := cols()
+	if !slices.Equal(before, after) {
+		t.Fatalf("columns after the per-query config = %v, want the default %v", after, before)
+	}
+	if !slices.Contains(strict, "FullName") || slices.Contains(before, "FullName") {
+		t.Fatalf("FullName matched under Threshold 2 (%v) or unmatched by default (%v)", strict, before)
+	}
+}
+
+func TestFuseContextPreCancelled(t *testing.T) {
+	db := studentDB(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.FuseContext(ctx, []string{"EE_Student", "CS_Students"}, PipelineOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled FuseContext returned %v, want context.Canceled", err)
+	}
+}
+
+// TestInvalidateSourceRereadsCSV: invalidating a file-backed alias
+// bumps its generation and the next query reads the file anew.
+func TestInvalidateSourceRereadsCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.csv")
+	write := func(body string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(db *DB) int64 {
+		t.Helper()
+		res, err := db.Query(`SELECT count(*) FROM p`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rel.Row(0)[0].Int()
+	}
+	write("Name,Age\nAda,36\n")
+	db := New()
+	if err := db.RegisterCSV("p", path); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(db); n != 1 {
+		t.Fatalf("rows = %d, want 1", n)
+	}
+	gen := db.SourceGeneration("p")
+	write("Name,Age\nAda,36\nAlan,41\n")
+	db.InvalidateSource("p")
+	if g := db.SourceGeneration("p"); g <= gen {
+		t.Fatalf("generation %d after InvalidateSource, want above %d", g, gen)
+	}
+	if n := count(db); n != 2 {
+		t.Fatalf("rows after InvalidateSource = %d, want 2 (the file's new contents)", n)
+	}
 }

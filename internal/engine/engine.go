@@ -12,6 +12,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"hummer/internal/expr"
@@ -54,7 +55,8 @@ func MaterializeContext(ctx context.Context, name string, op Operator) (*relatio
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	out := relation.New(name, op.Schema())
+	size, _ := countOf(op)
+	out := relation.NewSized(name, op.Schema(), size)
 	for n := 0; ; n++ {
 		if n%materializeStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -75,6 +77,55 @@ func MaterializeContext(ctx context.Context, name string, op Operator) (*relatio
 	return out, nil
 }
 
+// countOf reports how many rows op yields in all, if op knows it.
+func countOf(op Operator) (int, bool) {
+	if c, ok := op.(interface{ count() (int, bool) }); ok {
+		return c.count()
+	}
+	return 0, false
+}
+
+// drainRows pulls an opened op dry into a slice sized by countOf.
+func drainRows(op Operator) []relation.Row {
+	n, _ := countOf(op)
+	rows := make([]relation.Row, 0, n)
+	for {
+		row, ok := op.Next()
+		if !ok {
+			return rows
+		}
+		rows = append(rows, row)
+	}
+}
+
+// rowSlab cuts concatenated rows from shared slabs, one allocation per
+// slab: slabs double from 16 rows to 256, so a small result holds
+// little spare. Rows are three-index slices; appending to one copies.
+type rowSlab struct {
+	cells []value.Value
+	next  int // first free cell
+	rows  int // rows cut and not taken back
+}
+
+// concat returns a followed by b.
+func (s *rowSlab) concat(a, b relation.Row) relation.Row {
+	w := len(a) + len(b)
+	if len(s.cells)-s.next < w {
+		s.cells, s.next = make([]value.Value, w*min(256, max(16, s.rows))), 0
+	}
+	out := s.cells[s.next : s.next+w : s.next+w]
+	s.next += w
+	s.rows++
+	copy(out, a)
+	copy(out[len(a):], b)
+	return out
+}
+
+// unread takes back the last row cut, w cells wide, once its only
+// reader has dropped it: the next row reuses its cells, so the rows a
+// WHERE keeps never pin the ones it dropped.
+func (s *rowSlab) unread(w int) { s.next -= w; s.rows-- }
+
 // --- Scan ---------------------------------------------------------------
 
 // Scan iterates an in-memory relation.
@@ -91,6 +142,8 @@ func (s *Scan) Schema() *schema.Schema { return s.rel.Schema() }
 
 // Open resets the cursor.
 func (s *Scan) Open() error { s.pos = 0; return nil }
+
+func (s *Scan) count() (int, bool) { return s.rel.Len(), true }
 
 // Next yields rows in storage order.
 func (s *Scan) Next() (relation.Row, bool) {
@@ -109,11 +162,13 @@ func (s *Scan) Next() (relation.Row, bool) {
 type Filter struct {
 	in   Operator
 	pred expr.Expr
+	back interface{ unread() } // in, when it takes dropped rows back
 }
 
 // NewFilter wraps in with predicate pred.
 func NewFilter(in Operator, pred expr.Expr) *Filter {
-	return &Filter{in: in, pred: pred}
+	back, _ := in.(interface{ unread() })
+	return &Filter{in: in, pred: pred, back: back}
 }
 
 // Schema passes through the input schema.
@@ -137,6 +192,9 @@ func (f *Filter) Next() (relation.Row, bool) {
 		if expr.Truthy(f.pred.Eval(row)) {
 			return row, true
 		}
+		if f.back != nil {
+			f.back.unread()
+		}
 	}
 }
 
@@ -153,22 +211,29 @@ type Project struct {
 	in    Operator
 	items []ProjectItem
 	out   *schema.Schema
+	// identity: every item is a bare column at its own input position
+	// (SELECT *, or plain renames), so Next passes input rows through.
+	identity bool
 }
 
 // NewProject builds a projection. Output column types are inferred only
 // for bare column references; computed columns are dynamic.
 func NewProject(in Operator, items []ProjectItem) *Project {
 	cols := make([]schema.Column, len(items))
+	identity := len(items) == in.Schema().Len()
 	for i, it := range items {
 		cols[i] = schema.Column{Name: it.As}
+		j := -1
 		if c, ok := it.Expr.(*expr.Col); ok {
-			if j, found := in.Schema().Lookup(c.Name); found {
+			if k, found := in.Schema().Lookup(c.Name); found {
+				j = k
 				cols[i].Type = in.Schema().Col(j).Type
 				cols[i].Source = in.Schema().Col(j).Source
 			}
 		}
+		identity = identity && j == i
 	}
-	return &Project{in: in, items: items, out: schema.New(cols...)}
+	return &Project{in: in, items: items, out: schema.New(cols...), identity: identity}
 }
 
 // NewProjectCols projects bare columns by name.
@@ -193,11 +258,14 @@ func (p *Project) Open() error {
 	return p.in.Open()
 }
 
-// Next computes the projected row.
+func (p *Project) count() (int, bool) { return countOf(p.in) }
+
+// Next computes the projected row; an identity projection returns the
+// input row itself.
 func (p *Project) Next() (relation.Row, bool) {
 	row, ok := p.in.Next()
-	if !ok {
-		return nil, false
+	if !ok || p.identity {
+		return row, ok
 	}
 	out := make(relation.Row, len(p.items))
 	for i, it := range p.items {
@@ -234,6 +302,8 @@ func (r *Rename) Schema() *schema.Schema { return r.out }
 // Open opens the input.
 func (r *Rename) Open() error { return r.in.Open() }
 
+func (r *Rename) count() (int, bool) { return countOf(r.in) }
+
 // Next passes rows through unchanged.
 func (r *Rename) Next() (relation.Row, bool) { return r.in.Next() }
 
@@ -247,6 +317,7 @@ type Cross struct {
 	rightRows   []relation.Row
 	cur         relation.Row
 	ri          int
+	slab        rowSlab
 }
 
 // NewCross builds a cross join; columns of both sides are concatenated
@@ -284,26 +355,19 @@ func (c *Cross) Open() error {
 	if err := c.right.Open(); err != nil {
 		return err
 	}
-	for {
-		row, ok := c.right.Next()
-		if !ok {
-			break
-		}
-		c.rightRows = append(c.rightRows, row)
-	}
+	c.rightRows = drainRows(c.right)
 	c.ri = len(c.rightRows) // force first left fetch
 	return nil
 }
+
+func (c *Cross) unread() { c.slab.unread(c.out.Len()) }
 
 // Next yields the next combined row.
 func (c *Cross) Next() (relation.Row, bool) {
 	for {
 		if c.ri < len(c.rightRows) {
-			out := make(relation.Row, 0, c.out.Len())
-			out = append(out, c.cur...)
-			out = append(out, c.rightRows[c.ri]...)
 			c.ri++
-			return out, true
+			return c.slab.concat(c.cur, c.rightRows[c.ri-1]), true
 		}
 		row, ok := c.left.Next()
 		if !ok {
@@ -317,22 +381,26 @@ func (c *Cross) Next() (relation.Row, bool) {
 // --- Hash equi-join -------------------------------------------------------
 
 // HashJoin joins two inputs on equality of one column pair. Open
-// drains the right (build) input and constructs the hash table
-// presized to the build row count; the left (probe) side is pulled one
-// row at a time and never materialized as a whole. Output order is
-// canonical: left scan order crossed with right insertion order.
+// drains the right (build) input and chains its rows by key hash, in
+// build-row order; the left (probe) side is pulled one row at a time
+// and never materialized as a whole. Output order is canonical: left
+// scan order crossed with right insertion order. Output rows are cut
+// from shared slabs (rowSlab).
 type HashJoin struct {
 	left, right       Operator
 	leftCol, rightCol string
 	out               *schema.Schema
-	table             map[uint64][]relation.Row
+	// Chain links are build-row positions plus one; 0 ends a chain.
+	build             []relation.Row
+	head              map[uint64]int32 // key hash → first build row
+	next              []int32          // build row → next with its hash
 	leftIdx, rightIdx int
 	ctx               context.Context // span destination only; nil is fine
+	slab              rowSlab
 
-	// Probe state.
-	ri      int
-	cur     relation.Row
-	matches []relation.Row
+	// Probe state: the probe row and the next link of its chain.
+	ri  int32
+	cur relation.Row
 }
 
 // NewHashJoin builds an inner equi-join on leftCol = rightCol.
@@ -364,8 +432,16 @@ func (j *HashJoin) SetSpanContext(ctx context.Context) { j.ctx = ctx }
 // Schema returns the concatenated schema.
 func (j *HashJoin) Schema() *schema.Schema { return j.out }
 
-// Open builds the hash table over the right input, presized to the
-// build side's row count so a large build never rehashes.
+// checkBuildRows rejects a build side too large for int32 chain links.
+func checkBuildRows(n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("engine: hash join: build side of %d rows exceeds %d", n, math.MaxInt32)
+	}
+	return nil
+}
+
+// Open drains the right input and chains its rows, with the head map
+// presized to the build row count so a large build never rehashes.
 func (j *HashJoin) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
@@ -379,55 +455,43 @@ func (j *HashJoin) Open() error {
 	if j.ctx != nil {
 		_, sp = obs.StartSpan(j.ctx, "join.build")
 	}
-	var rows []relation.Row
-	for {
-		row, ok := j.right.Next()
-		if !ok {
-			break
-		}
-		rows = append(rows, row)
+	defer sp.End()
+	j.build = drainRows(j.right)
+	sp.SetInt("rows", len(j.build))
+	if err := checkBuildRows(len(j.build)); err != nil {
+		return err
 	}
-	j.table = make(map[uint64][]relation.Row, len(rows))
-	for _, row := range rows {
-		key := row[j.rightIdx]
-		if key.IsNull() {
-			continue // NULL never joins
+	j.head = make(map[uint64]int32, len(j.build))
+	j.next = make([]int32, len(j.build))
+	// Linking back to front leaves every chain in build-row order.
+	for i := len(j.build) - 1; i >= 0; i-- {
+		if key := j.build[i][j.rightIdx]; !key.IsNull() { // NULL never joins
+			h := key.Hash()
+			j.next[i], j.head[h] = j.head[h], int32(i+1)
 		}
-		h := key.Hash()
-		j.table[h] = append(j.table[h], row)
 	}
-	sp.SetInt("rows", len(rows))
-	sp.End()
 	return nil
 }
+
+func (j *HashJoin) unread() { j.slab.unread(j.out.Len()) }
 
 // Next yields the next matched pair.
 func (j *HashJoin) Next() (relation.Row, bool) {
 	for {
-		if j.ri < len(j.matches) {
-			m := j.matches[j.ri]
-			j.ri++
-			out := make(relation.Row, 0, j.out.Len())
-			out = append(out, j.cur...)
-			out = append(out, m...)
-			return out, true
+		for j.ri > 0 {
+			m := j.build[j.ri-1]
+			j.ri = j.next[j.ri-1]
+			if m[j.rightIdx].Equal(j.cur[j.leftIdx]) {
+				return j.slab.concat(j.cur, m), true
+			}
 		}
 		row, ok := j.left.Next()
 		if !ok {
 			return nil, false
 		}
-		key := row[j.leftIdx]
-		if key.IsNull() {
-			continue
+		if key := row[j.leftIdx]; !key.IsNull() {
+			j.cur, j.ri = row, j.head[key.Hash()]
 		}
-		j.matches = j.matches[:0]
-		for _, cand := range j.table[key.Hash()] {
-			if cand[j.rightIdx].Equal(key) {
-				j.matches = append(j.matches, cand)
-			}
-		}
-		j.cur = row
-		j.ri = 0
 	}
 }
 
@@ -621,13 +685,7 @@ func (s *Sort) Open() error {
 		}
 		idx[i] = j
 	}
-	for {
-		row, ok := s.in.Next()
-		if !ok {
-			break
-		}
-		s.rows = append(s.rows, row)
-	}
+	s.rows = drainRows(s.in)
 	slices.SortStableFunc(s.rows, func(a, b relation.Row) int {
 		for i, j := range idx {
 			c := a[j].Compare(b[j])
@@ -642,6 +700,8 @@ func (s *Sort) Open() error {
 	})
 	return nil
 }
+
+func (s *Sort) count() (int, bool) { return countOf(s.in) }
 
 // Next yields sorted rows.
 func (s *Sort) Next() (relation.Row, bool) {
@@ -670,6 +730,8 @@ func (l *Limit) Schema() *schema.Schema { return l.in.Schema() }
 
 // Open opens the input.
 func (l *Limit) Open() error { l.seen = 0; return l.in.Open() }
+
+func (l *Limit) count() (int, bool) { n, ok := countOf(l.in); return max(0, min(l.n, n)), ok }
 
 // Next yields up to n rows.
 func (l *Limit) Next() (relation.Row, bool) {

@@ -9,7 +9,7 @@ import (
 )
 
 // joinInputs builds a probe/build pair exercising every key shape the
-// presized build table must handle: duplicate keys on both sides,
+// chained build table must handle: duplicate keys on both sides,
 // NULL keys on both sides, cross-numeric keys (int 3 joins float
 // 3.0), NaN keys, and keys that collide only after .Equal
 // verification.
@@ -60,7 +60,7 @@ func TestHashJoinCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestHashJoinNullKeys pins the NULL contract of the presized build
+// TestHashJoinNullKeys pins the NULL contract of the chained build
 // table: NULL keys are skipped on both sides — a NULL never joins,
 // not even another NULL.
 func TestHashJoinNullKeys(t *testing.T) {
@@ -72,7 +72,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 }
 
 // TestHashJoinNaNKeys pins the NaN contract: a NaN key is not NULL,
-// so it enters the presized build table, but value equality follows
+// so it enters the chained build table, but value equality follows
 // IEEE semantics (NaN != NaN) — so NaN keys hash-collide with each
 // other and are then rejected by the .Equal verification.
 func TestHashJoinNaNKeys(t *testing.T) {
@@ -88,7 +88,7 @@ func TestHashJoinNaNKeys(t *testing.T) {
 	}
 }
 
-// TestHashJoinCrossNumericKeys pins that the presized table keeps the
+// TestHashJoinCrossNumericKeys pins that the chained table keeps the
 // cross-numeric equality of the value model: int 3 and float 3.0 hash
 // identically (via the float64 image) and are Equal, so they join.
 func TestHashJoinCrossNumericKeys(t *testing.T) {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -173,6 +175,144 @@ func TestPropertyGroupPartition(t *testing.T) {
 		if total != int64(rel.Len()) {
 			t.Fatalf("trial %d: group counts sum to %d, want %d", trial, total, rel.Len())
 		}
+	}
+}
+
+// joinPair builds a seeded probe/build pair whose inner join on k has
+// exactly n rows: matched keys repeat on both sides (ints on one side
+// equal to floats on the other, and strings), among NULL, NaN and
+// unmatched keys, all shuffled. Each row's second cell is its position.
+func joinPair(rng *rand.Rand, n int) (left, right *relation.Relation) {
+	var lk, rk []value.Value
+	for key := 0; n > 0; key++ {
+		lm, rm := 1+rng.Intn(4), 1+rng.Intn(4)
+		if lm*rm > n {
+			lm, rm = n, 1
+		}
+		n -= lm * rm
+		l, r := value.NewInt(int64(key)), value.NewFloat(float64(key))
+		switch key % 3 {
+		case 1:
+			l, r = r, l
+		case 2:
+			l = value.NewString(fmt.Sprint("s", key))
+			r = l
+		}
+		for range lm {
+			lk = append(lk, l)
+		}
+		for range rm {
+			rk = append(rk, r)
+		}
+	}
+	for range 1 + rng.Intn(8) {
+		lk = append(lk, value.Null, value.NewFloat(math.NaN()), value.NewInt(-1))
+		rk = append(rk, value.Null, value.NewFloat(math.NaN()), value.NewString("-2"))
+	}
+	build := func(name string, keys []value.Value) *relation.Relation {
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		b := relation.NewBuilder(name, "k", name+"pos")
+		for i, k := range keys {
+			b.Add(k, value.NewInt(int64(i)))
+		}
+		return b.Build()
+	}
+	return build("l", lk), build("r", rk)
+}
+
+// nestedLoop is the reference join: left order crossed with right
+// order, keeping pairs whose keys are non-NULL and Equal (on is nil for
+// a cross product).
+func nestedLoop(left, right *relation.Relation, on func(l, r relation.Row) bool) []relation.Row {
+	var out []relation.Row
+	for _, l := range left.Rows() {
+		for _, r := range right.Rows() {
+			if on == nil || on(l, r) {
+				out = append(out, append(l.Clone(), r...))
+			}
+		}
+	}
+	return out
+}
+
+// where keeps the reference rows on which pred, bound to s, is TRUE.
+func where(t *testing.T, rows []relation.Row, s *schema.Schema, pred expr.Expr) []relation.Row {
+	t.Helper()
+	if err := pred.Bind(s); err != nil {
+		t.Fatal(err)
+	}
+	var out []relation.Row
+	for _, r := range rows {
+		if expr.Truthy(pred.Eval(r)) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func sameRows(t *testing.T, what string, got *relation.Relation, want []relation.Row) {
+	t.Helper()
+	if got.Len() != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, got.Len(), len(want))
+	}
+	for i, w := range want {
+		if !got.Row(i).Equal(w) {
+			t.Fatalf("%s: row %d = %v, want %v", what, i, got.Row(i), w)
+		}
+	}
+}
+
+// joinSizes cross every output-slab boundary.
+var joinSizes = []int{0, 1, 255, 256, 257, 600, 1500}
+
+// TestPropertyHashJoinMatchesNestedLoop: the hash join equals, row for
+// row, a nested loop over the same inputs, and so does a WHERE over it
+// (which hands the rows it drops back to the join's slab).
+func TestPropertyHashJoinMatchesNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	on := func(l, r relation.Row) bool { return !l[0].IsNull() && l[0].Equal(r[0]) }
+	lt := func() expr.Expr { return expr.NewCmp(expr.LT, expr.NewCol("lpos"), expr.NewCol("rpos")) }
+	for _, n := range joinSizes {
+		for trial := range 3 {
+			left, right := joinPair(rng, n)
+			want := nestedLoop(left, right, on)
+			if len(want) != n {
+				t.Fatalf("joinPair(%d) joins to %d rows", n, len(want))
+			}
+			join := func() *HashJoin {
+				j, err := NewHashJoin(NewScan(left), NewScan(right), "k", "k")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return j
+			}
+			what := fmt.Sprintf("join n=%d trial %d", n, trial)
+			sameRows(t, what, materializeOrDie(t, join()), want)
+			j := join()
+			sameRows(t, what+" WHERE", materializeOrDie(t, NewFilter(j, lt())), where(t, want, j.Schema(), lt()))
+		}
+	}
+}
+
+// TestPropertyCrossMatchesNestedLoop: the cross product equals, row for
+// row, a nested loop over the same inputs, with and without a WHERE.
+func TestPropertyCrossMatchesNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, dims := range [][2]int{{0, 7}, {7, 0}, {1, 1}, {15, 17}, {16, 16}, {257, 1}, {24, 25}, {40, 40}} {
+		left, right := randomTable(rng, dims[0]), randomTable(rng, dims[1])
+		cross := func() *Cross {
+			c, err := NewCross(NewScan(left), NewScan(right))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		what := fmt.Sprintf("cross %dx%d", dims[0], dims[1])
+		want := nestedLoop(left, right, nil)
+		sameRows(t, what, materializeOrDie(t, cross()), want)
+		lt := func() expr.Expr { return expr.NewCmp(expr.LT, expr.NewCol("a"), expr.NewCol("a_r")) }
+		c := cross()
+		sameRows(t, what+" WHERE", materializeOrDie(t, NewFilter(c, lt())), where(t, want, c.Schema(), lt()))
 	}
 }
 

@@ -41,7 +41,12 @@ import (
 	"hummer/internal/value"
 )
 
-// QueryResult is the outcome of executing one statement.
+// QueryResult is the outcome of executing one statement. Its rows are
+// read-only: they may be shared with the cache, and plain SQL passes
+// rows through where it can, so a result row may be the registered
+// relation's own row (under WHERE, SELECT * or a plain rename) or a
+// slice of a slab shared with neighbouring join rows. Copy a row
+// (Row.Clone) before changing it.
 type QueryResult struct {
 	// Rel is the result table.
 	Rel *relation.Relation

@@ -252,8 +252,8 @@ func (r *Rows) Next() bool {
 }
 
 // Row returns the current row (valid until the next call to Next).
-// Rows served from the fused cache tier are shared across queries:
-// treat the row as read-only, or Clone it.
+// Like QueryResult's rows, it may be shared with the cache or be a
+// registered relation's own row: treat it as read-only, or Clone it.
 func (r *Rows) Row() relation.Row { return r.row }
 
 // RowLineage returns the current row's per-cell lineage — fusion

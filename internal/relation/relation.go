@@ -56,6 +56,12 @@ func New(name string, s *schema.Schema) *Relation {
 	return &Relation{name: name, schema: s}
 }
 
+// NewSized is New with room for n rows: appending up to n rows
+// allocates the row slice once.
+func NewSized(name string, s *schema.Schema, n int) *Relation {
+	return &Relation{name: name, schema: s, rows: make([]Row, 0, n)}
+}
+
 // Name returns the relation's name (usually the source alias).
 func (r *Relation) Name() string { return r.name }
 

@@ -184,3 +184,21 @@ func TestTypedBuilder(t *testing.T) {
 		t.Error("typed builder failed")
 	}
 }
+
+func TestNewSizedStartsEmptyAndChecksArity(t *testing.T) {
+	r := NewSized("t", schema.FromNames("a", "b"), 4)
+	if r.Len() != 0 || r.Name() != "t" {
+		t.Fatalf("NewSized: len %d, name %q; want an empty relation t", r.Len(), r.Name())
+	}
+	if err := r.Append(Row{value.NewInt(1)}); err == nil {
+		t.Error("arity mismatch must error")
+	}
+	for i := range 6 {
+		if err := r.Append(Row{value.NewInt(int64(i)), value.Null}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.Len() != 6 || r.Row(5)[0].Int() != 5 {
+		t.Errorf("appends past the size hint: len %d, last %v", r.Len(), r.Row(r.Len()-1))
+	}
+}
