@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -290,7 +291,8 @@ func TestHandlerPanicContained(t *testing.T) {
 // record. Either way the server keeps serving.
 func TestStreamPanicContained(t *testing.T) {
 	db := studentFixture(t)
-	ts := newLifecycleServer(t, db)
+	var log syncBuffer
+	ts := newLifecycleServer(t, db, WithLogger(slog.New(slog.NewJSONHandler(&log, nil))))
 
 	faultinject.Arm(&faultinject.Plan{Rules: []faultinject.Rule{
 		{Site: faultinject.SiteServerStream, Kind: faultinject.Panic, Times: 1},
@@ -315,12 +317,63 @@ func TestStreamPanicContained(t *testing.T) {
 	if !strings.Contains(string(body), `"error"`) || !strings.Contains(string(body), "internal error") {
 		t.Fatalf("deep-faulted stream body has no internal-error record:\n%s", body)
 	}
+	wantPanicLogged(t, log.String(), resp.Header.Get("X-Hummer-Request-Id"))
 
 	// Still serving, cleanly.
 	status, out := doJSON(t, ts, http.MethodPost, "/v1/query/stream", queryRequest{SQL: fuseQuery})
 	if status != http.StatusOK || strings.Contains(string(out), `"error"`) {
 		t.Fatalf("post-fault stream: status %d:\n%s", status, out)
 	}
+}
+
+// TestBatchPanicContained: a batch statement that fails on a panic
+// contained deep in the pipeline reports the internal error in its
+// result slot, logs it with the request ID and stack, and counts it
+// as an internal error; its neighbour is unharmed.
+func TestBatchPanicContained(t *testing.T) {
+	var log syncBuffer
+	ts := newLifecycleServer(t, studentFixture(t), WithLogger(slog.New(slog.NewJSONHandler(&log, nil))))
+	before := serverStats(t, ts)
+
+	faultinject.Arm(&faultinject.Plan{Rules: []faultinject.Rule{
+		{Site: faultinject.SiteCoreMatch, Kind: faultinject.Panic, Times: 1},
+	}})
+	resp, body := doJSONResp(t, ts, http.MethodPost, "/v1/batch", batchRequest{Statements: []string{
+		fuseQuery, `SELECT Name FROM EE_Student ORDER BY Name`,
+	}})
+	faultinject.Disarm()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("faulted batch: status %d: %s", resp.StatusCode, body)
+	}
+	var out batchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.Results[0].Error, "internal error") || out.Results[1].Error != "" {
+		t.Fatalf("faulted batch results: %s", body)
+	}
+	wantPanicLogged(t, log.String(), resp.Header.Get("X-Hummer-Request-Id"))
+	if st := serverStats(t, ts); st.InternalErrors != before.InternalErrors+1 {
+		t.Errorf("InternalErrors = %d, want %d", st.InternalErrors, before.InternalErrors+1)
+	}
+}
+
+// wantPanicLogged asserts that the JSON log holds a contained-panic
+// record for request reqID, stack included.
+func wantPanicLogged(t *testing.T, log, reqID string) {
+	t.Helper()
+	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
+		var rec struct {
+			Msg       string `json:"msg"`
+			RequestID string `json:"request_id"`
+			Stack     string `json:"stack"`
+		}
+		if json.Unmarshal([]byte(line), &rec) == nil && strings.Contains(rec.Msg, "contained panic") &&
+			rec.RequestID == reqID && rec.Stack != "" {
+			return
+		}
+	}
+	t.Errorf("no contained-panic record with request_id %q and a stack; log:\n%s", reqID, log)
 }
 
 // TestStatsAndMetricsExposeFaultCounters: the new observability

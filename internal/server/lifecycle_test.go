@@ -44,6 +44,25 @@ func studentFixture(t *testing.T) *hummer.DB {
 	return db
 }
 
+// statsResponse decodes the /v1/stats keys the lifecycle, fault and
+// chaos tests assert on.
+type statsResponse struct {
+	Requests              uint64       `json:"requests"`
+	InflightQueries       int64        `json:"inflight_queries"`
+	RejectedQueries       uint64       `json:"rejected_queries"`
+	StreamedQueries       uint64       `json:"streamed_queries"`
+	BatchRequests         uint64       `json:"batch_requests"`
+	BatchStatements       uint64       `json:"batch_statements"`
+	AdmissionWaiters      int64        `json:"admission_waiters"`
+	AdmissionWaits        uint64       `json:"admission_waits"`
+	AdmissionWaitTimeouts uint64       `json:"admission_wait_timeouts"`
+	ClientDisconnects     uint64       `json:"client_disconnects"`
+	QueryTimeouts         uint64       `json:"query_timeouts"`
+	PanicsRecovered       uint64       `json:"panics_recovered"`
+	InternalErrors        uint64       `json:"internal_errors"`
+	DB                    hummer.Stats `json:"db"`
+}
+
 func serverStats(t *testing.T, ts *httptest.Server) statsResponse {
 	t.Helper()
 	status, body := doJSON(t, ts, http.MethodGet, "/v1/stats", nil)

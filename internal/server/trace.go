@@ -3,6 +3,7 @@ package server
 import (
 	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -101,12 +102,18 @@ func (s *Server) phaseHist(name string) *obs.DurationHist {
 	return h
 }
 
-// phaseSnapshots copies the phase-histogram map under the lock so the
-// (slower) snapshotting and rendering run outside it.
-func (s *Server) phaseSnapshots() map[string]*obs.DurationHist {
+// phaseSeries snapshots the phase histograms, sorted by phase name.
+// The map is copied under the lock so the (slower) snapshotting runs
+// outside it.
+func (s *Server) phaseSeries() []series {
 	s.phaseMu.Lock()
-	defer s.phaseMu.Unlock()
-	return maps.Clone(s.phases)
+	phases := maps.Clone(s.phases)
+	s.phaseMu.Unlock()
+	out := make([]series, 0, len(phases))
+	for _, name := range slices.Sorted(maps.Keys(phases)) {
+		out = append(out, series{label: name, hist: phases[name].Snapshot()})
+	}
+	return out
 }
 
 // logSlowQuery logs the full span tree of a query that crossed the
