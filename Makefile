@@ -33,8 +33,9 @@
 #   make fuzz   — run each Fuzz target for FUZZTIME (default 10s):
 #                  the SQL parser, the three strsim kernels
 #                  (banded Levenshtein, Jaro-Winkler, tokenizer),
-#                  duplicate detection against its row-level oracle
-#                  and the qcache fault schedule. Not part of check.
+#                  duplicate detection against its row-level oracle,
+#                  the qcache fault schedule and the response cell
+#                  encoder against encoding/json. Not part of check.
 #   make fmt    — rewrite files with gofmt.
 
 GO ?= go
@@ -184,7 +185,8 @@ FUZZ_TARGETS = ./internal/sql:FuzzParse \
 	./internal/strsim:FuzzScratchJaroWinkler \
 	./internal/strsim:FuzzTokenize \
 	./internal/dupdetect:FuzzDetectMatchesOracle \
-	./internal/qcache:FuzzDoContextFaultSchedule
+	./internal/qcache:FuzzDoContextFaultSchedule \
+	./internal/server:FuzzAppendCell
 FUZZTIME ?= 10s
 
 fuzz:

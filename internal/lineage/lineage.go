@@ -52,6 +52,12 @@ func Merge(sets ...Set) Set {
 // Origins returns the origins in deterministic order.
 func (s Set) Origins() []Origin { return append([]Origin(nil), s.origins...) }
 
+// Len returns the number of origins.
+func (s Set) Len() int { return len(s.origins) }
+
+// At returns the i-th origin in Origins order, without copying the set.
+func (s Set) At(i int) Origin { return s.origins[i] }
+
 // Sources returns the distinct source aliases, sorted.
 func (s Set) Sources() []string {
 	seen := map[string]bool{}

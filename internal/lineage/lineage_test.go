@@ -69,3 +69,19 @@ func TestOriginsReturnsCopy(t *testing.T) {
 		t.Error("Origins must return a defensive copy")
 	}
 }
+
+func TestLenAtMatchOrigins(t *testing.T) {
+	m := Merge(From("b", 2), From("a", 7), From("a", 1))
+	origins := m.Origins()
+	if m.Len() != len(origins) {
+		t.Fatalf("Len = %d, want %d", m.Len(), len(origins))
+	}
+	for i, o := range origins {
+		if m.At(i) != o {
+			t.Errorf("At(%d) = %v, want %v", i, m.At(i), o)
+		}
+	}
+	if (Set{}).Len() != 0 {
+		t.Error("the empty set has origins")
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -8,6 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hummer"
+	"hummer/internal/value"
 )
 
 // raceEnabled is set by race_test.go under -race.
@@ -18,11 +22,17 @@ var raceEnabled bool
 // /v1/batch of a plain SELECT and the same FUSE BY. They guard the
 // served path's bytes, the one warm-serving cost that does not drift
 // with the machine's load. Each is the highest count measured across
-// -cpu 1,2,4 before the handlers were split out of server.go.
+// -cpu 1,2,4 once responses were appended straight from the values.
 const (
-	maxWarmQueryAllocs = 114
-	maxWarmBatchAllocs = 172
+	maxWarmQueryAllocs = 106
+	maxWarmBatchAllocs = 158
 )
+
+// maxRowScalingAllocs bounds how many more allocations a plain SELECT
+// of 800 rows costs the server than one of 8 rows, materialized or
+// streamed: responses are appended straight from the rows into reused
+// buffers, so no allocation may come back per row.
+const maxRowScalingAllocs = 4
 
 // servedAllocs warms path with body once, then counts the allocations
 // of one more identical request.
@@ -53,5 +63,34 @@ func TestWarmServedAllocCeiling(t *testing.T) {
 	b := `{"statements":["SELECT FullName FROM CS_Students ORDER BY FullName","SELECT Name, RESOLVE(Age, max) FUSE FROM EE_Student, CS_Students FUSE BY (Name) ORDER BY Name"]}`
 	if got := servedAllocs(t, "/v1/batch", b); got > maxWarmBatchAllocs {
 		t.Errorf("warm /v1/batch allocs = %v, want <= %d", got, maxWarmBatchAllocs)
+	}
+}
+
+func TestServedAllocsDoNotScaleWithRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	db := hummer.New()
+	seen := time.Date(2005, 8, 30, 0, 0, 0, 0, time.UTC)
+	for _, n := range []int{8, 800} {
+		alias := fmt.Sprintf("rows%d", n)
+		b := hummer.NewTable(alias, "id", "name", "score", "ok", "seen", "note")
+		for i := range n {
+			b.Add(value.NewInt(int64(i)), value.NewString(fmt.Sprintf("Müller %d", i)),
+				value.NewFloat(float64(i)/7), value.NewBool(i%2 == 0), value.NewTime(seen), value.Null)
+		}
+		if err := db.RegisterTable(alias, b.Build()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := New(db, WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))).Handler()
+	for _, path := range []string{"/v1/query", "/v1/query/stream"} {
+		small := testing.AllocsPerRun(50, discardServe(t, h, path, []byte(`{"sql":"SELECT * FROM rows8"}`)))
+		large := testing.AllocsPerRun(50, discardServe(t, h, path, []byte(`{"sql":"SELECT * FROM rows800"}`)))
+		t.Logf("%s: %v allocs for 8 rows, %v for 800", path, small, large)
+		if large-small > maxRowScalingAllocs {
+			t.Errorf("%s: %v allocs for 800 rows, %v for 8 rows: more than %d apart",
+				path, large, small, maxRowScalingAllocs)
+		}
 	}
 }

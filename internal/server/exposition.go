@@ -71,9 +71,9 @@ var metricTable = []metric{
 		value: func(sc *scrape) float64 { return float64(sc.queryErrors.Load()) }},
 	{name: "hummer_queries_rejected_total", stat: "rejected_queries", kind: counter, help: "Queries rejected by the inflight admission cap (HTTP 429).",
 		value: func(sc *scrape) float64 { return float64(sc.rejected.Load()) }},
-	{name: "hummer_query_client_disconnects_total", stat: "client_disconnects", kind: counter, help: "Queries cancelled because the client closed the connection (HTTP 499).",
+	{name: "hummer_query_client_disconnects_total", stat: "client_disconnects", kind: counter, help: "Queries cancelled because the client closed the connection (HTTP 499 or a stream cut mid-write), one per statement for /v1/batch.",
 		value: func(sc *scrape) float64 { return float64(sc.clientGone.Load()) }},
-	{name: "hummer_query_timeouts_total", stat: "query_timeouts", kind: counter, help: "Queries aborted by the query timeout (HTTP 504).",
+	{name: "hummer_query_timeouts_total", stat: "query_timeouts", kind: counter, help: "Queries aborted by the query timeout (HTTP 504), one per /v1/batch statement that outlived it or its timeout_ms.",
 		value: func(sc *scrape) float64 { return float64(sc.timeouts.Load()) }},
 	{name: "hummer_body_read_timeouts_total", stat: "body_read_timeouts", kind: counter, help: "Requests whose body read outlived the per-slot deadline (HTTP 408).",
 		value: func(sc *scrape) float64 { return float64(sc.bodyTimeouts.Load()) }},
@@ -89,7 +89,7 @@ var metricTable = []metric{
 		value: func(sc *scrape) float64 { return float64(sc.batchErrors.Load()) }},
 	{name: "hummer_panics_recovered_total", stat: "panics_recovered", kind: counter, help: "Panics contained anywhere in the process and converted to internal errors.",
 		value: func(*scrape) float64 { return float64(fault.Recovered()) }},
-	{name: "hummer_internal_errors_total", stat: "internal_errors", kind: counter, help: "Requests that failed on a contained panic (HTTP 500 or an error trailer).",
+	{name: "hummer_internal_errors_total", stat: "internal_errors", kind: counter, help: "Requests that failed on a contained panic (HTTP 500 or an error trailer), one per failed statement for /v1/batch.",
 		value: func(sc *scrape) float64 { return float64(sc.internalErrors.Load()) }},
 	{name: "hummer_admission_waits_total", stat: "admission_waits", kind: counter, help: "Requests that queued for an admission slot.",
 		value: func(sc *scrape) float64 { return float64(sc.queuedTotal.Load()) }},

@@ -12,7 +12,6 @@ import (
 	"hummer"
 	"hummer/internal/faultinject"
 	"hummer/internal/obs"
-	"hummer/internal/value"
 )
 
 // --- Sources ----------------------------------------------------------------
@@ -119,15 +118,9 @@ func buildInline(req registerRequest) (*hummer.Relation, error) {
 	return b.Build(), nil
 }
 
-type sourceResponse struct {
-	Alias       string   `json:"alias"`
-	Generation  uint64   `json:"generation"`
-	Fingerprint string   `json:"fingerprint"`
-	Columns     []string `json:"columns"`
-	RowCount    int      `json:"row_count"`
-	Rows        [][]any  `json:"rows"`
-}
-
+// handleGetSource answers {"alias", "generation", "fingerprint",
+// "columns", "row_count", "rows"}: the source's schema, size and its
+// first limit rows (all of them without ?limit=).
 func (s *Server) handleGetSource(w http.ResponseWriter, r *http.Request) {
 	alias := r.PathValue("alias")
 	rel, err := s.db.Table(alias)
@@ -151,18 +144,21 @@ func (s *Server) handleGetSource(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	resp := sourceResponse{
-		Alias:       alias,
-		Generation:  s.db.SourceGeneration(alias),
-		Fingerprint: fp,
-		Columns:     rel.Schema().Names(),
-		RowCount:    rel.Len(),
-		Rows:        make([][]any, 0, limit),
-	}
-	for i := 0; i < limit; i++ {
-		resp.Rows = append(resp.Rows, rowJSON(rel.Row(i)))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, func(b []byte) []byte {
+		b = appendString(append(b, `{"alias":`...), alias)
+		b = strconv.AppendUint(append(b, `,"generation":`...), s.db.SourceGeneration(alias), 10)
+		b = appendString(append(b, `,"fingerprint":`...), fp)
+		b = appendStrings(append(b, `,"columns":`...), rel.Schema().Names())
+		b = strconv.AppendInt(append(b, `,"row_count":`...), int64(rel.Len()), 10)
+		b = append(b, `,"rows":[`...)
+		for i := range limit {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendRow(b, rel.Row(i))
+		}
+		return append(b, "]}"...)
+	})
 }
 
 // --- Query ------------------------------------------------------------------
@@ -178,33 +174,17 @@ type queryRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// cellLineage is one cell's provenance: the contributing source rows.
-type cellLineage struct {
-	Column  string   `json:"column"`
-	Origins []string `json:"origins"`
-}
-
-type queryResponse struct {
-	Columns  []string `json:"columns"`
-	Rows     [][]any  `json:"rows"`
-	RowCount int      `json:"row_count"`
-	// Fusion carries the pipeline summary for fusion statements —
-	// warm cache hits included (slim entries precompute it). Omitted
-	// for plain SELECTs: the wire format matches the opt-in
-	// semantics, annotation-style metadata never pads a plain read.
-	Fusion *hummer.FusionSummary `json:"fusion,omitempty"`
-	// Lineage is present only when requested AND the statement
-	// produced lineage (fusion statements with at least one row).
-	Lineage [][]cellLineage `json:"lineage,omitempty"`
-	// TraceID is present only when the request set trace:true — it is
-	// the request ID, usable to fetch the span tree from GET /v1/trace.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
 // errHandled marks a request whose response was already written by a
 // helper (decode failure, validation error) — the caller just returns.
 var errHandled = errors.New("server: response already written")
 
+// handleQuery answers {"columns", "rows", "row_count"}, then "fusion",
+// the pipeline summary, for fusion statements (warm cache hits
+// included: slim entries precompute it; a plain read is never padded
+// with it); "lineage", one entry per row and cell, only when requested
+// and the statement produced lineage (fusion statements with at least
+// one row); and "trace_id", the request ID that fetches the span tree
+// from GET /v1/trace, only when the request set trace:true.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	releaseSlot, ok := s.admit(w, r)
 	if !ok {
@@ -250,43 +230,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, r, err)
 		return
 	}
-	resp := queryResponse{RowCount: res.Rel.Len(), Fusion: res.Summary}
-	resp.Columns, resp.Rows, resp.Lineage = resultJSON(res, req.Lineage)
-	if req.Trace {
-		resp.TraceID = obs.RequestID(r.Context())
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// resultJSON renders a materialized result's columns and rows and,
-// when asked and present, its per-cell lineage: the body both
-// /v1/query and each /v1/batch statement carry.
-func resultJSON(res *hummer.Result, lineage bool) (cols []string, rows [][]any, lin [][]cellLineage) {
-	cols = res.Rel.Schema().Names()
-	rows = make([][]any, res.Rel.Len())
-	for i := range rows {
-		rows[i] = rowJSON(res.Rel.Row(i))
-	}
-	if lineage && len(res.Lineage) > 0 {
-		lin = make([][]cellLineage, len(res.Lineage))
-		for i, rowLin := range res.Lineage {
-			lin[i] = lineageRowJSON(cols, rowLin)
+	writeBody(w, func(b []byte) []byte {
+		b = appendResult(append(b, '{'), res, req.Lineage, false)
+		if req.Trace {
+			b = appendString(append(b, `,"trace_id":`...), obs.RequestID(r.Context()))
 		}
-	}
-	return cols, rows, lin
-}
-
-// lineageRowJSON renders one row's per-cell lineage.
-func lineageRowJSON(cols []string, rowLin []hummer.LineageSet) []cellLineage {
-	cells := make([]cellLineage, 0, len(rowLin))
-	for j, set := range rowLin {
-		cl := cellLineage{Column: cols[j], Origins: []string{}}
-		for _, o := range set.Origins() {
-			cl.Origins = append(cl.Origins, fmt.Sprintf("%s:%d", o.Source, o.Row))
-		}
-		cells = append(cells, cl)
-	}
-	return cells
+		return append(b, '}')
+	})
 }
 
 // --- Streaming ---------------------------------------------------------------
@@ -313,15 +263,14 @@ type streamRequest struct {
 
 // streamRecord is one NDJSON line of a /v1/query/stream response. The
 // first record is the schema ("type":"schema"), then one record per
-// row, then exactly one trailer: a summary on success, an error if
-// the stream died mid-flight (after the 200 status was already
-// committed — clients must treat an error trailer, or a missing
-// trailer, as a failed stream).
+// row ({"type":"row","row":[...]}, with "lineage" when requested),
+// appended straight from the row; then exactly one trailer: a summary
+// on success, an error if the stream died mid-flight (after the 200
+// status was already committed — clients must treat an error trailer,
+// or a missing trailer, as a failed stream).
 type streamRecord struct {
 	Type     string                `json:"type"`
 	Columns  []string              `json:"columns,omitempty"`
-	Row      []any                 `json:"row,omitempty"`
-	Lineage  []cellLineage         `json:"lineage,omitempty"`
 	RowCount *int                  `json:"row_count,omitempty"`
 	Fusion   *hummer.FusionSummary `json:"fusion,omitempty"`
 	Error    string                `json:"error,omitempty"`
@@ -396,6 +345,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 
 	writeErr := enc.Encode(streamRecord{Type: "schema", Columns: cols})
 	flush()
+	line := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(line)
 	skip := req.Offset
 	n := 0
 	for writeErr == nil && (req.Limit == nil || n < *req.Limit) && rows.Next() {
@@ -406,11 +357,15 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			skip--
 			continue
 		}
-		rec := streamRecord{Type: "row", Row: rowJSON(rows.Row())}
-		if lin := rows.RowLineage(); req.Lineage && lin != nil {
-			rec.Lineage = lineageRowJSON(cols, lin)
+		b := append((*line)[:0], `{"type":"row"`...)
+		if row := rows.Row(); len(row) > 0 {
+			b = appendRow(append(b, `,"row":`...), row)
 		}
-		if writeErr = enc.Encode(rec); writeErr != nil {
+		if lin := rows.RowLineage(); req.Lineage && len(lin) > 0 {
+			b = appendLineageRow(append(b, `,"lineage":`...), cols, lin)
+		}
+		*line = append(b, "}\n"...)
+		if _, writeErr = w.Write(*line); writeErr != nil {
 			break // client gone: stop pulling
 		}
 		if n++; n%streamFlushRows == 0 {
@@ -458,36 +413,24 @@ type batchRequest struct {
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 }
 
-// batchStatementResponse is one statement's outcome. Error and the
-// result fields are mutually exclusive.
-type batchStatementResponse struct {
-	Columns  []string              `json:"columns,omitempty"`
-	Rows     [][]any               `json:"rows,omitempty"`
-	RowCount int                   `json:"row_count"`
-	Fusion   *hummer.FusionSummary `json:"fusion,omitempty"`
-	Lineage  [][]cellLineage       `json:"lineage,omitempty"`
-	Error    string                `json:"error,omitempty"`
-	Seconds  float64               `json:"seconds"`
-}
-
-type batchResponse struct {
-	Results []batchStatementResponse `json:"results"`
-}
-
 // handleBatch executes several statements in order, each under its
 // own deadline (the server query timeout, optionally tightened by the
 // request's timeout_ms), and returns one result or error per
 // statement — a slow or failing statement never takes down its
 // neighbours, only cancelling the whole request does. The response is
 // always 200 when the batch itself was well-formed; per-statement
-// failures live in the results.
+// failures live in the results: {"results":[...]}, one object per
+// statement holding either the statement's result fields (as
+// /v1/query's, with empty columns and rows left out) or its "error",
+// then its "seconds".
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	releaseSlot, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
 
-	var resp batchResponse
+	var req batchRequest
+	var results []hummer.BatchResult
 	err := func() error {
 		defer releaseSlot()
 		if err := faultinject.Hit(faultinject.SiteServerBatch); err != nil {
@@ -504,7 +447,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// request context mid-batch — aborting statements that were
 		// well inside their own budgets.
 		_, release := s.slotContext(w, r)
-		var req batchRequest
 		ok := s.decodeBody(w, r, &req)
 		release()
 		if !ok {
@@ -536,27 +478,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 
 		s.batchRequests.Add(1)
-		results := s.db.QueryBatch(r.Context(), req.Statements, opts...)
-		resp.Results = make([]batchStatementResponse, len(results))
-		for i, br := range results {
+		results = s.db.QueryBatch(r.Context(), req.Statements, opts...)
+		for _, br := range results {
 			s.latBatch.Observe(br.Elapsed)
-			item := &resp.Results[i]
-			item.Seconds = br.Elapsed.Seconds()
 			if br.Err != nil {
 				s.classify(r, br.Err)
 				s.batchErrors.Add(1)
-				item.Error = br.Err.Error()
-				continue
 			}
-			item.RowCount, item.Fusion = br.Result.Rel.Len(), br.Result.Summary
-			item.Columns, item.Rows, item.Lineage = resultJSON(br.Result, req.Lineage)
 		}
 		return nil
 	}()
 	if errors.Is(err, errHandled) {
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, func(b []byte) []byte {
+		b = append(b, `{"results":[`...)
+		for i, br := range results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '{')
+			if br.Err != nil {
+				b = appendString(append(b, `"row_count":0,"error":`...), br.Err.Error())
+			} else {
+				b = appendResult(b, br.Result, req.Lineage, true)
+			}
+			b = appendFloat(append(b, `,"seconds":`...), br.Elapsed.Seconds())
+			b = append(b, '}')
+		}
+		return append(b, "]}"...)
+	})
 }
 
 // --- Functions and cache ----------------------------------------------------
@@ -567,31 +518,4 @@ func (s *Server) handleFunctions(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePurgeCache(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int{"purged": s.db.PurgeCache()})
-}
-
-// rowJSON renders one row with JSON-native cells: NULL → null,
-// numerics and booleans natively, times as RFC 3339, strings as-is.
-func rowJSON(row hummer.Row) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		out[i] = cellJSON(v)
-	}
-	return out
-}
-
-func cellJSON(v hummer.Value) any {
-	switch v.Kind() {
-	case value.KindNull:
-		return nil
-	case value.KindInt:
-		return v.Int()
-	case value.KindFloat:
-		return v.Float()
-	case value.KindBool:
-		return v.Bool()
-	case value.KindTime:
-		return v.Time().Format(time.RFC3339)
-	default:
-		return v.Str()
-	}
 }

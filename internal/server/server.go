@@ -55,6 +55,7 @@
 //	server.go      the Server, its options, the Handler middleware, health
 //	admission.go   inflight admission, slot deadlines, Retry-After, failure classes
 //	handlers.go    the sources, query, stream, batch, functions and cache endpoints
+//	encode.go      result rows, lineage and summaries appended as JSON from the values
 //	exposition.go  metricTable, each metric declared once; /metrics and /v1/stats
 //	trace.go       per-query span traces, phase histograms, the slow-query log
 package server
